@@ -19,7 +19,6 @@ from .psa import (
     current_optimum,
     evpi,
     incremental_nb,
-    numeric_tolerance,
 )
 from .io import PsaFormatError, read_psa_csv, write_psa_csv
 from .single_param import (
@@ -44,6 +43,7 @@ from .regression import (
     gam_evppi,
     gp_evppi,
     regression_evppi,
+    with_bootstrap,
 )
 from .nested_mc import GenerativeModel, current_info_mc, nested_mc_evppi
 from .models import (
@@ -72,7 +72,6 @@ __all__ = [
     "current_optimum",
     "evpi",
     "incremental_nb",
-    "numeric_tolerance",
     "PsaFormatError",
     "read_psa_csv",
     "write_psa_csv",
@@ -98,6 +97,7 @@ __all__ = [
     "gam_evppi",
     "gp_evppi",
     "regression_evppi",
+    "with_bootstrap",
     "GenerativeModel",
     "current_info_mc",
     "nested_mc_evppi",

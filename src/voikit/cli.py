@@ -28,7 +28,7 @@ from .models import (
 )
 from .nested_mc import nested_mc_evppi
 from .psa import EstimationError, EvppiEstimate, ParamSubset, PsaSample, evpi
-from .regression import BootstrapConfig, bootstrap_estimates, gam_evppi, gp_evppi
+from .regression import BootstrapConfig, gam_evppi, gp_evppi, with_bootstrap
 from .single_param import cumsum_curve, sad_evppi, so_choose_bins, so_evppi
 
 METHOD_ORDER = ("SO", "SAD", "GP", "GAM", "MC")
@@ -107,23 +107,6 @@ def _parse_changes(raw: str | None, names: list[str]) -> dict[str, int]:
     return out
 
 
-def _with_bootstrap(estimate: EvppiEstimate, closure, sample, args) -> EvppiEstimate:
-    if not args.bootstrap:
-        return estimate
-    config = BootstrapConfig(n_replicates=args.bootstrap, seed=args.seed)
-    values, failures = bootstrap_estimates(
-        closure, sample, config, n_threads=args.threads
-    )
-    diag = dict(estimate.diagnostics)
-    diag["bootstrap_failures"] = failures
-    return EvppiEstimate(
-        value=estimate.value,
-        method=estimate.method,
-        std_error=float(np.std(values, ddof=1)),
-        diagnostics=diag,
-    )
-
-
 def _single_param_index(sample: PsaSample, names: list[str], method: str) -> int:
     if len(names) != 1:
         raise _UsageError(
@@ -135,6 +118,11 @@ def _single_param_index(sample: PsaSample, names: list[str], method: str) -> int
 def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args):
     """Run one estimator; returns (estimate, extra-warnings list)."""
     warnings_out: list[str] = []
+    bootstrap = (
+        BootstrapConfig(n_replicates=args.bootstrap, seed=args.seed)
+        if args.bootstrap
+        else None
+    )
     if method == "so":
         p = _single_param_index(sample, names, "so")
         if args.bins is not None:
@@ -156,8 +144,8 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
                 value=estimate.value, method=estimate.method,
                 std_error=estimate.std_error, diagnostics=diag,
             )
-        return _with_bootstrap(
-            estimate, lambda s: so_evppi(s, p, n_bins), sample, args
+        return with_bootstrap(
+            estimate, lambda s: so_evppi(s, p, n_bins), sample, bootstrap, args.threads
         ), warnings_out
 
     if method == "sad":
@@ -173,16 +161,11 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
         if changes == 0:
             warnings_out.append("parameter declared non-influential: estimate is 0")
         estimate = sad_evppi(sample, p, changes)
-        return _with_bootstrap(
-            estimate, lambda s: sad_evppi(s, p, changes), sample, args
+        return with_bootstrap(
+            estimate, lambda s: sad_evppi(s, p, changes), sample, bootstrap, args.threads
         ), warnings_out
 
     subset = _subset_from_names(sample, names)
-    bootstrap = (
-        BootstrapConfig(n_replicates=args.bootstrap, seed=args.seed)
-        if args.bootstrap
-        else None
-    )
     if method == "gam":
         return gam_evppi(
             sample,

@@ -18,7 +18,6 @@ of building fresh kernel matrices each step.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -67,51 +66,16 @@ class GpHyperparameters:
         object.__setattr__(self, "length_scales", ls)
 
 
-def _sq_diffs(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences, shape (d, n1, n2)."""
-    return (x1.T[:, :, None] - x2.T[:, None, :]) ** 2
-
-
-def _kernel_from_sq(sq: np.ndarray, ls: np.ndarray, sf2: float) -> np.ndarray:
-    return sf2 * np.exp(-0.5 * np.tensordot(1.0 / ls**2, sq, axes=(0, 0)))
-
-
-# Matrix scratch space: bootstrap replicates hit this path thousands of
-# times with identical shapes, and fresh large allocations are expensive
-# under sandboxed kernels.  Buffers are per-thread, keyed by (tag, shape).
-_SCRATCH = threading.local()
-
-
-def _scratch(tag: str, shape: tuple, order: str = "C") -> np.ndarray:
-    pool = getattr(_SCRATCH, "pool", None)
-    if pool is None:
-        pool = _SCRATCH.pool = {}
-    key = (tag, shape, order)
-    buf = pool.get(key)
-    if buf is None:
-        if len(pool) > 32:
-            pool.clear()
-        buf = pool[key] = np.empty(shape, order=order)
-    return buf
-
-
-def _kernel_into(tag: str, x1: np.ndarray, x2: np.ndarray, ls, sf2: float) -> np.ndarray:
-    """Squared-exponential cross-covariance built in reusable scratch space.
-
-    The returned array is owned by the per-thread pool: it is valid until
-    the next call with the same tag and shape.
-    """
-    out = _scratch(tag, (x1.shape[0], x2.shape[0]))
-    np.subtract.outer(x1[:, 0], x2[:, 0], out=out)
+def _kernel(x1: np.ndarray, x2: np.ndarray, ls, sf2: float) -> np.ndarray:
+    """Squared-exponential cross-covariance, shape (n1, n2)."""
+    out = np.subtract.outer(x1[:, 0], x2[:, 0])
     np.square(out, out=out)
     out *= -0.5 / ls[0] ** 2
-    if x1.shape[1] > 1:
-        tmp = _scratch(tag + ".dim", out.shape)
-        for i in range(1, x1.shape[1]):
-            np.subtract.outer(x1[:, i], x2[:, i], out=tmp)
-            np.square(tmp, out=tmp)
-            tmp *= -0.5 / ls[i] ** 2
-            out += tmp
+    for i in range(1, x1.shape[1]):
+        tmp = np.subtract.outer(x1[:, i], x2[:, i])
+        np.square(tmp, out=tmp)
+        tmp *= -0.5 / ls[i] ** 2
+        out += tmp
     np.exp(out, out=out)
     out *= sf2
     return out
@@ -275,19 +239,19 @@ def _posterior_mean(
     x_ind = x_all[inducing]
     # symmetric matrices are passed as F-contiguous transposed views so the
     # LAPACK calls run in place instead of copying
-    k_uu = _kernel_into("kuu", x_ind, x_ind, ls, sf2)
+    k_uu = _kernel(x_ind, x_ind, ls, sf2)
     np.einsum("ii->i", k_uu)[...] += JITTER_FACTOR * sf2
     l_uu = cholesky(k_uu.T, lower=True, overwrite_a=True, check_finite=False)
 
     def _v_chunk(start, stop):
-        # becomes V = L^{-1} K_ux in place; valid until the next chunk
-        k_xu = _kernel_into("kxu", x_all[start:stop], x_ind, ls, sf2)
+        # V = L^{-1} K_ux, solved in place
+        k_xu = _kernel(x_all[start:stop], x_ind, ls, sf2)
         return solve_triangular(
             l_uu, k_xu.T, lower=True, overwrite_b=True, check_finite=False
         )
 
     single = n_rows <= _PREDICT_CHUNK
-    vvt = _scratch("vvt", (m, m), order="F")
+    vvt = np.empty((m, m), order="F")
     vy = np.zeros(m)
     kept_v = None
     for i, start in enumerate(range(0, n_rows, _PREDICT_CHUNK)):

@@ -25,7 +25,6 @@ __all__ = [
     "evpi",
     "incremental_nb",
     "current_optimum",
-    "numeric_tolerance",
 ]
 
 # Relative slack used for "estimate >= 0" checks: tiny negatives produced by
@@ -53,12 +52,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
-
-
-def numeric_tolerance(nb: np.ndarray) -> float:
-    """Library-wide numerical slack for nonnegativity checks: 1e-9 * max|nb|."""
-    scale = float(np.max(np.abs(nb))) if np.size(nb) else 0.0
-    return NEG_TOL_FACTOR * scale
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "gp_evppi",
     "bootstrap_estimates",
     "bootstrap_se",
+    "with_bootstrap",
 ]
 
 
@@ -176,6 +177,35 @@ def bootstrap_se(
     return float(np.std(values, ddof=1))
 
 
+def with_bootstrap(
+    estimate: EvppiEstimate,
+    estimator: Callable[[PsaSample], float],
+    sample: PsaSample,
+    config: BootstrapConfig | None,
+    n_threads: int = 1,
+) -> EvppiEstimate:
+    """``estimate`` with a bootstrap standard error; unchanged when
+    ``config`` is None.
+
+    The diagnostics gain the replicate values (``bootstrap_replicates``)
+    and the count of replicates that failed (``bootstrap_failures``).
+    """
+    if config is None:
+        return estimate
+    values, failures = bootstrap_estimates(
+        estimator, sample, config, n_threads=n_threads
+    )
+    diag = dict(estimate.diagnostics)
+    diag["bootstrap_replicates"] = values.tolist()
+    diag["bootstrap_failures"] = failures
+    return EvppiEstimate(
+        value=estimate.value,
+        method=estimate.method,
+        std_error=float(np.std(values, ddof=1)),
+        diagnostics=diag,
+    )
+
+
 def gam_evppi(
     sample: PsaSample,
     subset: ParamSubset,
@@ -188,27 +218,13 @@ def gam_evppi(
     Bootstrap replicates re-run the full fit, smoothing-parameter search
     included.
     """
-    fit = fit_regression(sample, subset, method="gam", interactions=interactions)
-    estimate = regression_evppi(fit)
-    if bootstrap is None:
-        return estimate
-    values, failures = bootstrap_estimates(
-        lambda s: regression_evppi(
+
+    def estimator(s: PsaSample) -> EvppiEstimate:
+        return regression_evppi(
             fit_regression(s, subset, method="gam", interactions=interactions)
-        ),
-        sample,
-        bootstrap,
-        n_threads=n_threads,
-    )
-    diag = dict(estimate.diagnostics)
-    diag["bootstrap_replicates"] = values.tolist()
-    diag["bootstrap_failures"] = failures
-    return EvppiEstimate(
-        value=estimate.value,
-        method=estimate.method,
-        std_error=float(np.std(values, ddof=1)),
-        diagnostics=diag,
-    )
+        )
+
+    return with_bootstrap(estimator(sample), estimator, sample, bootstrap, n_threads)
 
 
 def gp_evppi(
@@ -241,20 +257,12 @@ def gp_evppi(
         )
         for info in fit.hyperparameters
     )
-    values, failures = bootstrap_estimates(
+    return with_bootstrap(
+        estimate,
         lambda s: regression_evppi(
             fit_regression(s, subset, method="gp", seed=seed, gp_hyperparameters=fixed)
         ),
         sample,
         bootstrap,
-        n_threads=n_threads,
-    )
-    diag = dict(estimate.diagnostics)
-    diag["bootstrap_replicates"] = values.tolist()
-    diag["bootstrap_failures"] = failures
-    return EvppiEstimate(
-        value=estimate.value,
-        method=estimate.method,
-        std_error=float(np.std(values, ddof=1)),
-        diagnostics=diag,
+        n_threads,
     )

@@ -12,6 +12,7 @@ net-benefit rows):
   size-weighted sum of per-segment best mean net benefit.  D is the
   number of times the decision is believed to change and must be supplied
   by the analyst; the cumulative-sum curve below is the supporting visual.
+  The search is exact and costs O(D S T) for S rows and T treatments.
 """
 
 from __future__ import annotations
@@ -319,48 +320,42 @@ def _relative_prefix_sums(nb_ordered: np.ndarray) -> np.ndarray:
     return prefix - prefix[:, t_star : t_star + 1]
 
 
-def _best_single_cut(prefix: np.ndarray) -> tuple[float, int]:
-    n_rows = prefix.shape[0] - 1
-    left = prefix[1:n_rows].max(axis=1)
-    right = (prefix[n_rows] - prefix[1:n_rows]).max(axis=1)
-    totals = left + right
-    j = int(np.argmax(totals))
-    return float(totals[j]), j + 1
-
-
-def _best_cuts_dp(prefix: np.ndarray, n_cuts: int, chunk: int = 256):
+def _best_cuts(prefix: np.ndarray, n_cuts: int) -> tuple[float, list[int]]:
     """Exact maximiser over all segmentations with ``n_cuts`` cuts.
 
-    Dynamic programme over ``g[d][j]`` = best total of per-segment maxima
-    of summed net benefit when the first j ordered rows form d segments.
-    Equivalent to enumerating every cut vector, at O(D S^2 T) cost instead
-    of O(S^D).
+    ``g_d[j]`` is the best total of per-segment maxima of summed net
+    benefit when the first j ordered rows form d segments.  The maximum
+    over the previous cut i and the maximum over treatment t commute, so
+
+        g_d[j] = max_t (P_t[j] + max_{i<j} (g_{d-1}[i] - P_t[i]))
+
+    and each layer is one running maximum: O(D S T) in all, against
+    O(S^D) for enumerating every cut vector.  The last layer is needed at
+    j=S only; it and every backtracking step use the direct form
+    ``max_i g[i] + max_t (P_t[j] - P_t[i])``, with ties going to the
+    leftmost cut.
     """
     n_rows = prefix.shape[0] - 1
-    n_segments = n_cuts + 1
-    g = prefix[: n_rows + 1].max(axis=1)  # d=1, any j
-    back = np.zeros((n_segments, n_rows + 1), dtype=int)
-    for d in range(2, n_segments + 1):
-        g_new = np.full(n_rows + 1, -np.inf)
-        for j_start in range(d, n_rows + 1, chunk):
-            j_end = min(j_start + chunk, n_rows + 1)
-            j_idx = np.arange(j_start, j_end)
-            i_idx = np.arange(d - 1, n_rows)
-            seg = (
-                prefix[j_idx][:, None, :] - prefix[i_idx][None, :, :]
-            ).max(axis=2)
-            cand = g[i_idx][None, :] + seg
-            cand[i_idx[None, :] >= j_idx[:, None]] = -np.inf
-            pick = np.argmax(cand, axis=1)
-            g_new[j_idx] = cand[np.arange(len(j_idx)), pick]
-            back[d - 1, j_idx] = i_idx[pick]
-        g = g_new
+    g = prefix.max(axis=1)
+    g[0] = -np.inf  # zero rows cannot form a segment
+    layers = [g]
+    for _ in range(n_cuts - 1):
+        run = np.maximum.accumulate(g[:, None] - prefix, axis=0)
+        g = np.full(n_rows + 1, -np.inf)
+        g[1:] = (prefix[1:] + run[:-1]).max(axis=1)
+        layers.append(g)
+
+    best = None
     cuts = []
     j = n_rows
-    for d in range(n_segments, 1, -1):
-        j = int(back[d - 1, j])
-        cuts.append(j)
-    return float(g[n_rows]), sorted(cuts)
+    for g in reversed(layers):
+        totals = g[:j] + (prefix[j] - prefix[:j]).max(axis=1)
+        i = int(np.argmax(totals))
+        if best is None:
+            best = float(totals[i])
+        cuts.append(i)
+        j = i
+    return best, cuts[::-1]
 
 
 def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
@@ -394,13 +389,8 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
 
     perm = order_by_param(sample, p)
     prefix = _relative_prefix_sums(sample.nb[perm])
-    n_rows = sample.n_sims
-    if n_changes == 1:
-        best, cut = _best_single_cut(prefix)
-        cut_ranks = [cut]
-    else:
-        best, cut_ranks = _best_cuts_dp(prefix, n_changes)
-    value = best / n_rows
+    best, cut_ranks = _best_cuts(prefix, n_changes)
+    value = best / sample.n_sims
 
     phi_sorted = phi[perm]
     diag["cut_ranks"] = [int(c) for c in cut_ranks]

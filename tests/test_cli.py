@@ -104,6 +104,19 @@ class TestEvppiCommand:
         payload = json.loads(out)
         assert payload["std_error"] > 0
 
+    def test_sad_with_bootstrap_reports_replicates(self, capsys, lin_csv):
+        rc, out, _ = _run(capsys, [
+            "evppi", "--file", lin_csv, "--method", "sad", "--params", "phi",
+            "--changes", "1", "--bootstrap", "5", "--seed", "5",
+        ])
+        assert rc == 0
+        payload = json.loads(out)
+        replicates = payload["diagnostics"]["bootstrap_replicates"]
+        assert len(replicates) == 5
+        assert payload["diagnostics"]["bootstrap_failures"] == 0
+        assert payload["std_error"] == pytest.approx(np.std(replicates, ddof=1))
+        assert payload["std_error"] > 0
+
     def test_missing_file(self, capsys):
         rc, _, err = _run(capsys, [
             "evppi", "--file", "no-such.csv", "--method", "gam", "--params", "x",

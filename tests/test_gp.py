@@ -13,9 +13,30 @@ from voikit import (
     gp_fit,
     gp_fit_detail,
 )
-from voikit.gp import JITTER_FACTOR, _kernel_from_sq, _sq_diffs
+from voikit.gp import JITTER_FACTOR, _kernel
 
 from conftest import make_sample
+
+
+def _sq_diffs(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Per-dimension squared differences, shape (d, n1, n2)."""
+    return (x1.T[:, :, None] - x2.T[:, None, :]) ** 2
+
+
+def _kernel_from_sq(sq: np.ndarray, ls: np.ndarray, sf2: float) -> np.ndarray:
+    """Reference squared-exponential kernel from stacked squared differences."""
+    return sf2 * np.exp(-0.5 * np.tensordot(1.0 / ls**2, sq, axes=(0, 0)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_matches_reference(d):
+    rng = np.random.default_rng(d)
+    x1 = rng.standard_normal((40, d))
+    x2 = rng.standard_normal((25, d))
+    ls = rng.uniform(0.3, 2.0, size=d)
+    got = _kernel(x1, x2, ls, 1.7)
+    assert got.shape == (40, 25)
+    assert np.allclose(got, _kernel_from_sq(_sq_diffs(x1, x2), ls, 1.7), rtol=1e-12, atol=0)
 
 
 def test_constant_column_short_circuits():

@@ -10,6 +10,8 @@ from voikit import (
     BinPartition,
     CumsumCurve,
     LinearGaussianSpec,
+    NonlinearToySpec,
+    PsaSample,
     SegmentationVector,
     cumsum_curve,
     evpi,
@@ -21,7 +23,7 @@ from voikit import (
     so_choose_bins,
     so_evppi,
 )
-from voikit.single_param import segmentation_vector
+from voikit.single_param import _relative_prefix_sums, segmentation_vector
 
 from conftest import make_sample
 
@@ -219,18 +221,62 @@ def _sad_brute_force_one_cut(sample, p):
 
 
 def _sad_brute_force_exhaustive(sample, p, n_cuts):
-    """Enumerate every cut combination and recompute from scratch."""
+    """Enumerate every cut combination and recompute from scratch.
+
+    Returns the best value and every cut vector attaining it to rounding:
+    a cut between two segments that pick the same treatment can slide
+    without changing the total, so the maximiser need not be unique.
+    """
     perm = order_by_param(sample, p)
     nb = sample.nb[perm]
     n = nb.shape[0]
-    best = -np.inf
+    totals = {}
     for cuts in itertools.combinations(range(1, n), n_cuts):
         bounds = (0,) + cuts + (n,)
         total = 0.0
         for a, b in zip(bounds[:-1], bounds[1:]):
             total += nb[a:b].mean(axis=0).max() * (b - a)
-        best = max(best, total / n)
-    return best - nb.mean(axis=0).max()
+        totals[cuts] = total / n
+    best = max(totals.values())
+    argmaxes = [list(c) for c, v in totals.items() if v >= best - 1e-12 * abs(best)]
+    return best - nb.mean(axis=0).max(), argmaxes
+
+
+def _sad_quadratic_reference(sample, p, n_cuts):
+    """The O(D S^2 T) dynamic programme over every previous cut.
+
+    ``g[j]`` is the best total of per-segment maxima when the first j
+    ordered rows form d segments; each layer tries every previous cut i,
+    taking the leftmost best.  The linear-time search must reproduce its
+    value and cut ranks.
+    """
+    prefix = _relative_prefix_sums(sample.nb[order_by_param(sample, p)])
+    n = prefix.shape[0] - 1
+    g = prefix.max(axis=1)
+    back = np.zeros((n_cuts + 2, n + 1), dtype=int)
+    for d in range(2, n_cuts + 2):
+        g_new = np.full(n + 1, -np.inf)
+        for j in range(d, n + 1):
+            i = np.arange(d - 1, j)
+            cand = g[i] + (prefix[j] - prefix[i]).max(axis=1)
+            k = int(np.argmax(cand))
+            g_new[j] = cand[k]
+            back[d, j] = i[k]
+        g = g_new
+    cuts = []
+    j = n
+    for d in range(n_cuts + 1, 1, -1):
+        j = int(back[d, j])
+        cuts.append(j)
+    return float(g[n]) / n, sorted(cuts)
+
+
+def _three_treatment_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(n)
+    means = np.column_stack([np.sin(3 * phi), np.cos(2 * phi), 0.3 * phi])
+    nb = 1000.0 * means + 500.0 * rng.standard_normal((n, 3))
+    return PsaSample(param_names=("x",), params=phi[:, None], nb=nb)
 
 
 class TestSadEvppi:
@@ -267,8 +313,50 @@ class TestSadEvppi:
     @pytest.mark.parametrize("n_cuts", [2, 3])
     def test_multi_cut_against_exhaustive_enumeration(self, n_cuts):
         sample = generate_psa(LinearGaussianSpec(a=-0.3), 40, seed=31 + n_cuts)
-        expected = _sad_brute_force_exhaustive(sample, 0, n_cuts)
-        assert sad_evppi(sample, 0, n_cuts).value == pytest.approx(expected, rel=1e-10)
+        expected, argmaxes = _sad_brute_force_exhaustive(sample, 0, n_cuts)
+        est = sad_evppi(sample, 0, n_cuts)
+        assert est.value == pytest.approx(expected, rel=1e-10)
+        assert est.diagnostics["cut_ranks"] in argmaxes
+
+    @pytest.mark.parametrize("n_cuts", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec,n_rows,seed,p",
+        [
+            (LinearGaussianSpec(), 1500, 3, 0),
+            (LinearGaussianSpec(a=-0.3), 600, 8, 0),
+            (NonlinearToySpec(), 800, 5, 1),
+        ],
+    )
+    def test_matches_quadratic_reference_bit_for_bit(self, spec, n_rows, seed, p, n_cuts):
+        sample = generate_psa(spec, n_rows, seed=seed)
+        expected, expected_cuts = _sad_quadratic_reference(sample, p, n_cuts)
+        est = sad_evppi(sample, p, n_cuts)
+        assert est.value == expected
+        assert est.diagnostics["cut_ranks"] == expected_cuts
+
+    @pytest.mark.parametrize("n_cuts", [1, 2, 3])
+    def test_three_treatments_match_quadratic_reference(self, n_cuts):
+        # with three or more arms the lower layers add the same terms in a
+        # different order, so values agree to rounding rather than bitwise
+        sample = _three_treatment_sample(500, seed=2)
+        expected, expected_cuts = _sad_quadratic_reference(sample, 0, n_cuts)
+        est = sad_evppi(sample, 0, n_cuts)
+        assert est.value == pytest.approx(expected, rel=1e-12)
+        assert est.diagnostics["cut_ranks"] == expected_cuts
+
+    def test_three_cuts_at_one_hundred_thousand_rows(self):
+        sample = generate_psa(LinearGaussianSpec(a=-0.3), 100_000, seed=61)
+        cap = evpi(sample.nb) + 1e-12
+        values = [0.0]
+        for d in (1, 2, 3):
+            est = sad_evppi(sample, 0, d)
+            cuts = est.diagnostics["cut_ranks"]
+            assert len(cuts) == d
+            assert 0 < cuts[0] and cuts[-1] < sample.n_sims
+            assert all(a < b for a, b in zip(cuts, cuts[1:]))
+            assert est.value >= values[-1] - 1e-12
+            assert est.value <= cap
+            values.append(est.value)
 
     def test_non_decreasing_in_cut_count(self):
         sample = generate_psa(LinearGaussianSpec(), 300, seed=41)
