@@ -54,6 +54,42 @@ def _load_sample(path: str, k: float) -> PsaSample:
     return read_psa_csv(path, k=k)
 
 
+def _wtp(args) -> float:
+    """``--k``, or the default willingness to pay when it was not given."""
+    return DEFAULT_WTP if args.k is None else args.k
+
+
+def _provenance_path(path) -> Path:
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".provenance.json")
+
+
+def _sample_k(path: str, sample: PsaSample, args, notes: list[str]) -> float | None:
+    """The willingness to pay the sample's net benefit was built at.
+
+    Effect/cost files are priced at ``--k``.  An nb-only file was priced
+    when it was made: its k comes from the provenance sidecar, or is
+    unknown (None) without one.  An explicit ``--k`` that differs from that
+    k cannot apply, which adds a note rather than an error.
+    """
+    if sample.effects is not None:
+        return sample.k
+    k = None
+    sidecar = _provenance_path(path)
+    if sidecar.exists():
+        try:
+            k = float(json.loads(sidecar.read_text(encoding="utf-8"))["k"])
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            notes.append(f"cannot read k from {sidecar}: {exc!r}")
+    if args.k is not None and args.k != k:
+        built = "an unknown k" if k is None else f"k={k:g}"
+        notes.append(
+            f"--k {args.k:g} does not apply: {path} holds net benefit only, "
+            f"built at {built}"
+        )
+    return k
+
+
 def _load_spec(token: str):
     if token == "linear-gaussian":
         return LinearGaussianSpec()
@@ -182,12 +218,12 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
 
 
 def cmd_evppi(args) -> int:
-    sample = _load_sample(args.file, k=args.k)
+    sample = _load_sample(args.file, k=_wtp(args))
     names = _split_params(args.params)
     estimate, notes = _estimate_for_method(sample, args.method, names, args)
     payload = {
         "subset": names,
-        "k": args.k,
+        "k": _sample_k(args.file, sample, args, notes),
         **estimate.to_dict(),
     }
     if notes:
@@ -204,7 +240,7 @@ def _compare_cell(sample, method, names, args, model=None):
             gen = model_for(model)
             subset = ParamSubset.from_names(names, gen.param_names)
             est = nested_mc_evppi(
-                gen, subset, k=args.k,
+                gen, subset, k=_wtp(args),
                 n_outer=args.mc_outer, n_inner=args.mc_inner, seed=args.seed,
             )
             return est.to_dict()
@@ -230,8 +266,12 @@ def _format_cell(cell: dict, decimals: int) -> str:
 
 
 def cmd_compare(args) -> int:
-    sample = _load_sample(args.file, k=args.k)
+    sample = _load_sample(args.file, k=_wtp(args))
     model = _load_spec(args.model) if args.model else None
+    notes: list[str] = []
+    k = _sample_k(args.file, sample, args, notes)
+    if model is not None and args.k is not None and args.k != k:
+        notes.append(f"the nested-MC column uses --k {args.k:g}")
     subsets = [_split_params(chunk) for chunk in args.params.split(";")]
     for names in subsets:
         _subset_from_names(sample, names)  # fail fast on unknown names
@@ -245,7 +285,7 @@ def cmd_compare(args) -> int:
         rows.append({"subset": names, "cells": cells})
 
     report = {
-        "k": args.k,
+        "k": k,
         "n_sims": sample.n_sims,
         "seed": args.seed,
         "bootstrap": args.bootstrap,
@@ -253,8 +293,12 @@ def cmd_compare(args) -> int:
         "rows": rows,
     }
     if args.format == "json":
+        if notes:
+            report["warnings"] = notes
         _emit_json(report)
         return 0
+    for note in notes:
+        print(f"voikit: warning: {note}", file=sys.stderr)
 
     label_width = max(len(",".join(r["subset"])) for r in rows) + 2
     header = "parameter".ljust(label_width) + "".join(m.rjust(16) for m in methods)
@@ -289,9 +333,9 @@ def _k_grid(args) -> np.ndarray:
 def cmd_sweep(args) -> int:
     if args.model:
         spec = _load_spec(args.model)
-        sample = generate_psa(spec, args.sims, seed=args.seed, k=float(args.k))
+        sample = generate_psa(spec, args.sims, seed=args.seed, k=_wtp(args))
     else:
-        sample = _load_sample(args.file, k=args.k)
+        sample = _load_sample(args.file, k=_wtp(args))
     if sample.effects is None:
         raise _UsageError(
             "sweep needs the effect/cost decomposition: an nb-only input fixes k, "
@@ -346,7 +390,7 @@ def cmd_simulate(args) -> int:
     try:
         write_psa_csv(out, sample)
         write_provenance(
-            out.with_suffix(out.suffix + ".provenance.json"),
+            _provenance_path(out),
             {
                 "spec": spec_to_dict(spec),
                 "n_sims": args.sims,
@@ -360,8 +404,9 @@ def cmd_simulate(args) -> int:
 
 
 def _add_common(p, bootstrap_default=0):
-    p.add_argument("--k", type=float, default=DEFAULT_WTP,
-                   help="willingness to pay (default 20000)")
+    p.add_argument("--k", type=float, default=None,
+                   help="willingness to pay (default 20000); nb-only files "
+                        "keep the k they were built at")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for bootstrap replicates; results are "

@@ -1,13 +1,20 @@
 """Penalized regression-spline smoothing of net benefit on parameters.
 
-For each treatment the net-benefit column is regressed on the chosen
-parameter columns with a cubic B-spline basis (breakpoints at empirical
-quantiles, 10 per dimension), additive across dimensions.  For subsets of
-up to three parameters, pairwise tensor-product interactions on a reduced
-basis are added; larger subsets stay additive.  The roughness penalty is
-the exact integrated squared second derivative, whose null space contains
-all linear functions, and a single smoothing parameter is chosen by
-generalized cross-validation.
+Every net-benefit column is regressed on the chosen parameter columns with
+a cubic B-spline basis (breakpoints at empirical quantiles, 10 per
+dimension), additive across dimensions.  For subsets of up to three
+parameters, pairwise tensor-product interactions on a reduced basis are
+added; larger subsets stay additive.  The roughness penalty is the exact
+integrated squared second derivative, whose null space contains all linear
+functions.  Each column gets its own smoothing parameter, chosen by
+generalized cross-validation (GCV).
+
+The design and the penalty depend on the parameters only, so one call
+builds them once and fits every treatment column on them.  One generalized
+eigendecomposition (the Demmler-Reinsch form; Wood, *Generalized Additive
+Models*, 2nd ed., 2017, section 5.4) diagonalizes the normal equations at
+every smoothing level at once, so each GCV score costs O(p) for p basis
+functions instead of a Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import eigh
 
 from .psa import ParamSubset, PsaSample
 
@@ -149,24 +156,65 @@ def _build_design(phi: np.ndarray, interactions: bool):
     return design, penalty
 
 
-def _gcv_score(lam, xtx, penalty, xty, yty, n_rows):
+def _demmler_reinsch(xtx: np.ndarray, penalty: np.ndarray):
+    """Smoothing grid and the spectral form of ``xtx + lam * penalty``.
+
+    With ``base`` balancing the two traces, the generalized eigenproblem
+    ``penalty v = nu (xtx + base * penalty) v`` gives V with
+    ``V' (xtx + base * penalty) V = I`` and ``V' penalty V = diag(nu)``.
+    Then ``V' xtx V = diag(mu)`` with ``mu = 1 - base * nu``, and
+
+        xtx + lam * penalty = V^-T diag(mu + lam * nu) V^-1
+
+    at every lam.  ``xtx`` alone is singular for discrete parameters, so it
+    is never factored on its own; the penalty term is what keeps
+    ``xtx + base * penalty`` positive definite.
+    """
+    base = np.trace(xtx) / max(np.trace(penalty), 1e-300)
     try:
-        chol = cho_factor(xtx + lam * penalty, lower=True)
+        _, vecs = eigh(penalty, xtx + base * penalty)
     except np.linalg.LinAlgError:
-        return np.inf, None, np.nan
-    beta = cho_solve(chol, xty)
-    edf = float(np.trace(cho_solve(chol, xtx)))
-    rss = max(float(yty - 2.0 * beta @ xty + beta @ (xtx @ beta)), 0.0)
+        raise ValueError(
+            "penalized design is rank-deficient for every smoothing level"
+        ) from None
+    # Both diagonals are taken from V directly rather than as 1 - base * nu:
+    # for directions xtx (nearly) annihilates, the subtraction would leave
+    # rounding noise where mu should be small.
+    mu = np.einsum("ij,ij->j", vecs, xtx @ vecs)
+    nu = np.einsum("ij,ij->j", vecs, penalty @ vecs)
+    grid = base * np.logspace(-8.0, 8.0, 33)
+    return grid, mu, nu, vecs
+
+
+def _gcv_score(lam, mu, nu, c2, yty, n_rows):
+    """GCV score, effective degrees of freedom and residual sum of squares
+    at smoothing level lam.
+
+    ``c2`` holds the squared spectral coordinates of X'y.  With
+    ``h = 1 / (mu + lam * nu)``: edf = sum mu h and
+    rss = y'y - sum c^2 h (2 - mu h).
+    """
+    diag = mu + lam * nu
+    if np.any(diag <= 0):  # xtx + lam * penalty is not positive definite
+        return np.inf, np.nan, np.nan
+    h = 1.0 / diag
+    mh = mu * h
+    edf = float(mh.sum())
+    rss = max(float(yty - c2 @ (h * (2.0 - mh))), 0.0)
     denom = n_rows - edf
     if denom <= 0:
-        return np.inf, beta, edf
-    return n_rows * rss / denom**2, beta, edf
+        return np.inf, edf, rss
+    return n_rows * rss / denom**2, edf, rss
 
 
-def _select_lambda(xtx, penalty, xty, yty, n_rows):
-    base = np.trace(xtx) / max(np.trace(penalty), 1e-300)
-    grid = base * np.logspace(-8.0, 8.0, 33)
-    scores = [_gcv_score(lam, xtx, penalty, xty, yty, n_rows)[0] for lam in grid]
+def _select_lambda(grid, mu, nu, c2, yty, n_rows):
+    """Grid search, then golden-section refinement in log(lam) around the
+    grid minimum.  Returns (lam, gcv, edf, rss, grid minimum at either end)."""
+
+    def score(log_lam):
+        return _gcv_score(math.exp(log_lam), mu, nu, c2, yty, n_rows)[0]
+
+    scores = [_gcv_score(lam, mu, nu, c2, yty, n_rows)[0] for lam in grid]
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
         raise ValueError("penalized design is rank-deficient for every smoothing level")
@@ -177,49 +225,35 @@ def _select_lambda(xtx, penalty, xty, yty, n_rows):
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _gcv_score(math.exp(c), xtx, penalty, xty, yty, n_rows)[0]
-    fd = _gcv_score(math.exp(d), xtx, penalty, xty, yty, n_rows)[0]
+    fc, fd = score(c), score(d)
     for _ in range(20):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = _gcv_score(math.exp(c), xtx, penalty, xty, yty, n_rows)[0]
+            fc = score(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = _gcv_score(math.exp(d), xtx, penalty, xty, yty, n_rows)[0]
+            fd = score(d)
     lam = math.exp(0.5 * (a + b))
-    score, beta, edf = _gcv_score(lam, xtx, penalty, xty, yty, n_rows)
-    if not np.isfinite(score) or beta is None:
+    gcv, edf, rss = _gcv_score(lam, mu, nu, c2, yty, n_rows)
+    if not np.isfinite(gcv):
         lam = grid[best]
-        score, beta, edf = _gcv_score(lam, xtx, penalty, xty, yty, n_rows)
-    return lam, score, beta, edf
+        gcv, edf, rss = _gcv_score(lam, mu, nu, c2, yty, n_rows)
+    return lam, gcv, edf, rss, best in (0, len(grid) - 1)
 
 
 def _default_interactions(n_dims: int) -> bool:
     return 2 <= n_dims <= 3
 
 
-def gam_fit_detail(
-    sample: PsaSample,
-    subset: ParamSubset,
-    t: int,
-    interactions: bool | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Fitted conditional-mean column plus fit diagnostics.
-
-    ``interactions=None`` applies the default rule (pairwise tensor terms
-    for 2-3 parameters, additive otherwise); pass True/False to override.
-    """
+def _standardized_params(sample: PsaSample, subset: ParamSubset) -> np.ndarray:
     subset.validate_against(sample.n_params)
     if len(subset.indices) > MAX_GAM_DIMENSIONS:
         raise ValueError(
             f"spline regression is unstable beyond {MAX_GAM_DIMENSIONS} parameters; "
             f"got {len(subset.indices)}"
         )
-    if not 0 <= t < sample.n_treatments:
-        raise ValueError(f"treatment index {t} out of range (T={sample.n_treatments})")
-
     phi = sample.params[:, list(subset.indices)]
     sd = phi.std(axis=0)
     if np.any(sd == 0):
@@ -227,34 +261,54 @@ def gam_fit_detail(
         raise ValueError(
             f"constant parameter column(s) {bad}: the spline design is rank-deficient"
         )
-    phi = (phi - phi.mean(axis=0)) / sd
+    return (phi - phi.mean(axis=0)) / sd
 
+
+def gam_fit_detail(
+    sample: PsaSample,
+    subset: ParamSubset,
+    interactions: bool | None = None,
+) -> tuple[np.ndarray, list[dict]]:
+    """Fitted conditional means of every net-benefit column (S x T) plus
+    one diagnostics record per column.
+
+    The design, the penalty and their eigendecomposition are shared by all
+    columns; each column still gets its own GCV smoothing parameter.
+    ``interactions=None`` applies the default rule (pairwise tensor terms
+    for 2-3 parameters, additive otherwise); pass True/False to override.
+    """
+    phi = _standardized_params(sample, subset)
     if interactions is None:
         interactions = _default_interactions(phi.shape[1])
     design, penalty = _build_design(phi, interactions)
 
-    y = sample.nb[:, t]
-    y_mean = float(y.mean())
-    yc = y - y_mean
+    y_mean = sample.nb.mean(axis=0)
+    yc = sample.nb - y_mean
     xtx = design.T @ design
-    xty = design.T @ yc
-    yty = float(yc @ yc)
+    grid, mu, nu, vecs = _demmler_reinsch(xtx, penalty)
+    coords = vecs.T @ (design.T @ yc)  # p x T spectral coordinates of X'y
+    c2 = coords**2
+    yty = np.einsum("st,st->t", yc, yc)
     n_rows = sample.n_sims
 
-    lam, gcv, beta, edf = _select_lambda(xtx, penalty, xty, yty, n_rows)
-    fitted = design @ beta + y_mean
-    rss = max(float(yty - 2.0 * beta @ xty + beta @ (xtx @ beta)), 0.0)
-    residual_var = rss / max(n_rows - edf, 1.0)
-
-    info = {
-        "lambda": float(lam),
-        "gcv": float(gcv),
-        "edf": float(edf),
-        "n_columns": int(design.shape[1]),
-        "interactions": bool(interactions),
-        "residual_var": float(residual_var),
-    }
-    return fitted, info
+    shrink = np.empty_like(coords)
+    infos = []
+    for t in range(sample.n_treatments):
+        lam, gcv, edf, rss, at_edge = _select_lambda(
+            grid, mu, nu, c2[:, t], yty[t], n_rows
+        )
+        shrink[:, t] = 1.0 / (mu + lam * nu)
+        infos.append({
+            "lambda": float(lam),
+            "gcv": float(gcv),
+            "edf": float(edf),
+            "n_columns": int(design.shape[1]),
+            "interactions": bool(interactions),
+            "residual_var": float(rss / max(n_rows - edf, 1.0)),
+            "lambda_at_grid_edge": bool(at_edge),
+        })
+    fitted = design @ (vecs @ (shrink * coords)) + y_mean
+    return fitted, infos
 
 
 def gam_fit(
@@ -263,7 +317,9 @@ def gam_fit(
     t: int,
     interactions: bool | None = None,
 ) -> np.ndarray:
-    """Spline-smoothed conditional mean of one net-benefit column,
+    """Spline-smoothed conditional mean of net-benefit column ``t``,
     evaluated at the observed parameter values."""
-    fitted, _ = gam_fit_detail(sample, subset, t, interactions=interactions)
-    return fitted
+    if not 0 <= t < sample.n_treatments:
+        raise ValueError(f"treatment index {t} out of range (T={sample.n_treatments})")
+    fitted, _ = gam_fit_detail(sample, subset, interactions=interactions)
+    return fitted[:, t]

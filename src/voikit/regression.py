@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# Exceptions that mark one bootstrap replicate as failed rather than the
+# whole run: estimation failures and numerical breakdowns on a resample.
+REPLICATE_FAILURES = (EstimationError, np.linalg.LinAlgError, ValueError)
+
+
 @dataclass(frozen=True)
 class RegressionFit:
     """Per-treatment fitted conditional expectations of net benefit."""
@@ -81,6 +86,9 @@ def fit_regression(
 ) -> RegressionFit:
     """Fit every treatment column and collect the results.
 
+    GAM fits all columns in one call on one shared spline basis; GP fits
+    one column at a time.
+
     ``gp_hyperparameters`` (one per treatment) pins the GP kernel, which
     skips the marginal-likelihood search; used by the bootstrap so
     replicates re-fit the posterior only.
@@ -88,16 +96,16 @@ def fit_regression(
     method = method.lower()
     if method not in ("gam", "gp"):
         raise ValueError(f"method must be 'gam' or 'gp', got {method!r}")
-    fitted = np.empty_like(sample.nb)
-    infos = []
-    for t in range(sample.n_treatments):
-        if method == "gam":
-            col, info = gam_fit_detail(sample, subset, t, interactions=interactions)
-        else:
+    if method == "gam":
+        fitted, infos = gam_fit_detail(sample, subset, interactions=interactions)
+    else:
+        fitted = np.empty_like(sample.nb)
+        infos = []
+        for t in range(sample.n_treatments):
             hp = None if gp_hyperparameters is None else gp_hyperparameters[t]
             col, info = gp_fit_detail(sample, subset, t, seed=seed, hyperparameters=hp)
-        fitted[:, t] = col
-        infos.append(info)
+            fitted[:, t] = col
+            infos.append(info)
     return RegressionFit(
         method=method.upper(),
         fitted=fitted,
@@ -134,17 +142,19 @@ def bootstrap_estimates(
 
     Each replicate's resampling indices come from a generator seeded with
     (seed, replicate index), so results are identical at any thread count.
-    Replicates where the estimator raises are skipped; more than 20%
-    failures aborts.
+    A replicate where the estimator fails numerically (one of
+    ``REPLICATE_FAILURES``) is skipped; any other exception is a bug and
+    propagates.  More than 20% skipped replicates aborts, with the first
+    failure as the cause.
     """
 
-    def one(b: int) -> float | None:
+    def one(b: int) -> float | Exception:
         rng = np.random.default_rng([config.seed, b])
         rows = rng.integers(0, sample.n_sims, size=sample.n_sims)
         try:
             out = estimator(sample.take(rows))
-        except Exception:
-            return None
+        except REPLICATE_FAILURES as exc:
+            return exc
         return float(out.value) if isinstance(out, EvppiEstimate) else float(out)
 
     if n_threads > 1:
@@ -155,12 +165,15 @@ def bootstrap_estimates(
     else:
         results = [one(b) for b in range(config.n_replicates)]
 
-    values = np.array([v for v in results if v is not None])
-    failures = config.n_replicates - values.size
+    errors = [r for r in results if isinstance(r, Exception)]
+    values = np.array([r for r in results if not isinstance(r, Exception)])
+    failures = len(errors)
     if failures > 0.2 * config.n_replicates:
+        first = errors[0]
         raise EstimationError(
-            f"bootstrap aborted: {failures}/{config.n_replicates} replicates failed"
-        )
+            f"bootstrap aborted: {failures}/{config.n_replicates} replicates failed; "
+            f"first failure: {type(first).__name__}: {first}"
+        ) from first
     return values, failures
 
 

@@ -368,6 +368,13 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
     best mean.  Zero changes declare the parameter non-influential, which
     pins the estimate at zero.  Capped at three cuts; beyond that the
     estimator's premise (a handful of decision changes) is broken anyway.
+
+    ``segment_treatments`` in the diagnostics names the best treatment of
+    each of the D+1 segments (lowest index on ties).  A cut whose two
+    neighbouring segments pick the same treatment is idle: it marks no
+    decision change, and sliding it anywhere between its neighbouring cuts
+    leaves the total unchanged, so its position is one pick among exact
+    ties.
     """
     if n_changes < 0:
         raise ValueError(f"number of decision changes must be >= 0, got {n_changes}")
@@ -385,6 +392,7 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
     if n_changes == 0:
         diag["cut_ranks"] = []
         diag["cut_values"] = []
+        diag["segment_treatments"] = [int(np.argmax(sample.nb.sum(axis=0)))]
         return EvppiEstimate.clamped(0.0, "SAD", nb_scale, diagnostics=diag)
 
     perm = order_by_param(sample, p)
@@ -393,8 +401,12 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
     value = best / sample.n_sims
 
     phi_sorted = phi[perm]
+    bounds = [0, *cut_ranks, sample.n_sims]
     diag["cut_ranks"] = [int(c) for c in cut_ranks]
     diag["cut_values"] = [float(phi_sorted[c]) for c in cut_ranks]
+    diag["segment_treatments"] = [
+        int(np.argmax(prefix[hi] - prefix[lo])) for lo, hi in zip(bounds, bounds[1:])
+    ]
     return EvppiEstimate.clamped(value, "SAD", nb_scale, diagnostics=diag)
 
 

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from voikit import generate_psa, LinearGaussianSpec, read_psa_csv, write_psa_csv
+from voikit import (
+    LinearGaussianSpec,
+    NonlinearToySpec,
+    PsaSample,
+    generate_psa,
+    read_psa_csv,
+    write_psa_csv,
+)
 from voikit.cli import main
 
 
@@ -216,6 +223,109 @@ class TestCompareCommand:
         cells = json.loads(out)["rows"][0]["cells"]
         for method in ("SO", "SAD", "GP", "GAM"):
             assert cells[method]["value"] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestReportedWillingnessToPay:
+    """``k`` in the output is the threshold the net benefit was built at."""
+
+    @pytest.fixture(scope="class")
+    def lg_with_sidecar(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wtp") / "lg.csv"
+        assert main([
+            "simulate", "--model", "linear-gaussian", "--sims", "400",
+            "--seed", "2", "--k", "30000", "--out", str(path),
+        ]) == 0
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def toy_nb_only(self, tmp_path_factory):
+        # toy net benefit at k=20000 written without its effects and costs
+        sample = generate_psa(NonlinearToySpec(), 400, seed=4)
+        path = tmp_path_factory.mktemp("wtp") / "toy_nb.csv"
+        write_psa_csv(path, PsaSample(
+            param_names=sample.param_names, params=sample.params, nb=sample.nb,
+        ))
+        return str(path)
+
+    def _evppi(self, capsys, path, *extra):
+        rc, out, _ = _run(capsys, [
+            "evppi", "--file", path, "--method", "so", "--params", "phi",
+            "--bins", "10", *extra,
+        ])
+        assert rc == 0
+        return json.loads(out)
+
+    def test_nb_only_file_reports_sidecar_k(self, capsys, lg_with_sidecar):
+        payload = self._evppi(capsys, lg_with_sidecar)
+        assert payload["k"] == 30000.0
+        assert "warnings" not in payload
+        # the same k given explicitly applies and is not flagged
+        payload = self._evppi(capsys, lg_with_sidecar, "--k", "30000")
+        assert "warnings" not in payload
+
+    def test_explicit_k_differing_from_sidecar_warns(self, capsys, lg_with_sidecar):
+        default = self._evppi(capsys, lg_with_sidecar)
+        payload = self._evppi(capsys, lg_with_sidecar, "--k", "5000")
+        assert payload["k"] == 30000.0
+        assert payload["value"] == default["value"]
+        assert any("--k 5000 does not apply" in w and "k=30000" in w
+                   for w in payload["warnings"])
+
+    def test_nb_only_file_without_sidecar_reports_null(self, capsys, lin_csv):
+        payload = self._evppi(capsys, lin_csv)
+        assert payload["k"] is None
+        assert "warnings" not in payload
+        payload = self._evppi(capsys, lin_csv, "--k", "0")
+        assert payload["k"] is None
+        assert any("--k 0 does not apply" in w and "unknown k" in w
+                   for w in payload["warnings"])
+
+    def test_effect_cost_file_reports_given_k(self, capsys, toy_csv):
+        rc, out, _ = _run(capsys, [
+            "evppi", "--file", toy_csv, "--method", "so",
+            "--params", "risk_reduction", "--bins", "10", "--k", "5000",
+        ])
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["k"] == 5000.0
+        assert "warnings" not in payload
+
+    def test_compare_reports_file_k_and_warns(self, capsys, lin_csv):
+        rc, out, _ = _run(capsys, [
+            "compare", "--file", lin_csv, "--params", "phi", "--bootstrap", "0",
+            "--changes", "1", "--format", "json", "--k", "0",
+        ])
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["k"] is None
+        assert any("--k 0 does not apply" in w for w in payload["warnings"])
+
+    def test_compare_table_warns_on_stderr(self, capsys, lin_csv):
+        rc, out, err = _run(capsys, [
+            "compare", "--file", lin_csv, "--params", "phi", "--bootstrap", "0",
+            "--changes", "1", "--k", "0",
+        ])
+        assert rc == 0
+        assert "does not apply" not in out
+        assert "voikit: warning: --k 0 does not apply" in err
+
+    def test_compare_model_uses_k_for_nested_mc(self, capsys, toy_nb_only):
+        cells = {}
+        for k in ("5000", "20000"):
+            rc, out, _ = _run(capsys, [
+                "compare", "--file", toy_nb_only, "--params", "risk_reduction",
+                "--bootstrap", "0", "--changes", "1", "--format", "json",
+                "--model", "toy", "--mc-outer", "60", "--mc-inner", "30",
+                "--k", k,
+            ])
+            assert rc == 0
+            payload = json.loads(out)
+            assert payload["k"] is None
+            assert any("nested-MC column uses --k" in w for w in payload["warnings"])
+            cells[k] = payload["rows"][0]["cells"]
+        # the file's net benefit is fixed; the model is re-priced at --k
+        assert cells["5000"]["GAM"] == cells["20000"]["GAM"]
+        assert cells["5000"]["MC"]["value"] != cells["20000"]["MC"]["value"]
 
 
 class TestSweepCommand:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from voikit import LinearGaussianSpec, ParamSubset, PsaSample, gam_fit, gam_fit_detail, generate_psa
+from voikit import gam
 
 from conftest import make_sample
 
@@ -83,13 +85,15 @@ def test_two_parameters_use_tensor_interactions():
         params=params,
         nb=np.column_stack([np.zeros(600), y]),
     )
-    fitted, info = gam_fit_detail(sample, ParamSubset.of(0, 1), 1)
+    fitted, infos = gam_fit_detail(sample, ParamSubset.of(0, 1))
+    fitted, info = fitted[:, 1], infos[1]
     assert info["interactions"] is True
     # the pure product surface is invisible to an additive fit
     rmse = float(np.sqrt(np.mean((fitted - params[:, 0] * params[:, 1]) ** 2)))
     assert rmse < 0.25
 
-    additive, info2 = gam_fit_detail(sample, ParamSubset.of(0, 1), 1, interactions=False)
+    additive, infos2 = gam_fit_detail(sample, ParamSubset.of(0, 1), interactions=False)
+    additive, info2 = additive[:, 1], infos2[1]
     assert info2["interactions"] is False
     rmse_add = float(np.sqrt(np.mean((additive - params[:, 0] * params[:, 1]) ** 2)))
     assert rmse_add > 2 * rmse
@@ -103,12 +107,13 @@ def test_four_parameters_default_to_additive():
         params=params,
         nb=np.column_stack([np.zeros(300), params.sum(axis=1)]),
     )
-    _, info = gam_fit_detail(sample, ParamSubset(tuple(range(4))), 1)
-    assert info["interactions"] is False
+    _, infos = gam_fit_detail(sample, ParamSubset(tuple(range(4))))
+    assert [info["interactions"] for info in infos] == [False, False]
 
 
 def test_detail_reports_gcv_and_edf(lin_sample):
-    _, info = gam_fit_detail(lin_sample, ParamSubset.of(0), 1)
+    _, infos = gam_fit_detail(lin_sample, ParamSubset.of(0))
+    info = infos[1]
     assert info["edf"] >= 1.0
     assert info["gcv"] > 0
     assert info["lambda"] > 0
@@ -118,3 +123,176 @@ def test_detail_reports_gcv_and_edf(lin_sample):
 def test_bad_treatment_index(lin_sample):
     with pytest.raises(ValueError, match="treatment index"):
         gam_fit(lin_sample, ParamSubset.of(0), 5)
+
+
+# -- shared basis and spectral GCV ------------------------------------------
+
+
+def _cholesky_gcv(lam, xtx, penalty, xty, yty, n_rows):
+    """Reference GCV score and edf: one Cholesky solve of the penalized
+    normal equations per smoothing level."""
+    chol = cho_factor(xtx + lam * penalty, lower=True)
+    beta = cho_solve(chol, xty)
+    edf = float(np.trace(cho_solve(chol, xtx)))
+    rss = max(float(yty - 2.0 * beta @ xty + beta @ (xtx @ beta)), 0.0)
+    return n_rows * rss / (n_rows - edf) ** 2, edf
+
+
+def _normal_equations(sample, subset, t, interactions=None):
+    phi = gam._standardized_params(sample, subset)
+    if interactions is None:
+        interactions = gam._default_interactions(phi.shape[1])
+    design, penalty = gam._build_design(phi, interactions)
+    yc = sample.nb[:, t] - sample.nb[:, t].mean()
+    return design, penalty, design.T @ design, design.T @ yc, float(yc @ yc)
+
+
+def _noisy_linear_gaussian(n_sims, seed):
+    sample = generate_psa(LinearGaussianSpec(), n_sims, seed=seed)
+    noise = np.random.default_rng(seed).standard_normal(sample.nb.shape)
+    return PsaSample(
+        param_names=sample.param_names, params=sample.params, nb=sample.nb + noise
+    )
+
+
+@pytest.mark.parametrize(
+    "subset, interactions",
+    [((0,), None), ((1,), None), ((0, 1), False)],
+)
+def test_spectral_gcv_matches_cholesky_reference(subset, interactions):
+    sample = _noisy_linear_gaussian(2_000, seed=5)
+    _, penalty, xtx, xty, yty = _normal_equations(
+        sample, ParamSubset(subset), 1, interactions
+    )
+    grid, mu, nu, vecs = gam._demmler_reinsch(xtx, penalty)
+    c2 = (vecs.T @ xty) ** 2
+    base = grid[16]
+    for lam in grid:
+        score, edf, _ = gam._gcv_score(lam, mu, nu, c2, yty, sample.n_sims)
+        ref_score, ref_edf = _cholesky_gcv(lam, xtx, penalty, xty, yty, sample.n_sims)
+        assert score == pytest.approx(ref_score, rel=1e-9, abs=0)
+        # Above lam = base * 1e6 the reference's own rounding error grows
+        # like eps * lam / base: the penalty's null space is null only to
+        # rounding, and lam multiplies that residue.
+        tol = 1e-9 + np.finfo(float).eps * lam / base
+        assert edf == pytest.approx(ref_edf, rel=tol, abs=0), lam / base
+
+
+@pytest.mark.parametrize("levels", [2, 3, 6])
+def test_discrete_parameter_fits_despite_singular_gram(levels):
+    # a parameter with L levels gives X'X of rank L at most: the cubic
+    # basis on it has more columns than that, so only the penalty keeps
+    # the normal equations well posed
+    rng = np.random.default_rng(levels)
+    n = 600
+    d = rng.integers(0, levels, n).astype(float)
+    x = rng.standard_normal(n)
+    nb1 = np.sin(d) + np.cos(x) + 0.3 * rng.standard_normal(n)
+    sample = PsaSample(
+        param_names=("d", "x"),
+        params=np.column_stack([d, x]),
+        nb=np.column_stack([np.zeros(n), nb1]),
+    )
+    design, *_ = _normal_equations(sample, ParamSubset.of(0), 1)
+    gram = design.T @ design
+    assert np.linalg.matrix_rank(gram) < gram.shape[0]
+
+    fitted, infos = gam_fit_detail(sample, ParamSubset.of(0))
+    assert np.all(np.isfinite(fitted))
+    assert 1.0 <= infos[1]["edf"] <= levels + 1e-6
+    if levels == 2:
+        # two points carry no curvature: the fit is the two group means
+        for level in (0.0, 1.0):
+            rows = d == level
+            assert np.allclose(fitted[rows, 1], nb1[rows].mean(), rtol=0, atol=1e-9)
+
+    for interactions in (False, True):
+        both, infos = gam_fit_detail(sample, ParamSubset.of(0, 1), interactions=interactions)
+        assert np.all(np.isfinite(both))
+        assert infos[1]["interactions"] is interactions
+        truth = np.sin(d) + np.cos(x)
+        assert np.sqrt(np.mean((both[:, 1] - truth) ** 2)) < 0.1
+
+
+def test_all_columns_fit_like_each_column_alone():
+    rng = np.random.default_rng(6)
+    n = 1_500
+    params = rng.standard_normal((n, 2))
+    nb = np.column_stack([
+        np.sin(2 * params[:, 0]),
+        params[:, 0] * params[:, 1],
+        params[:, 1] ** 2,
+    ]) + 0.2 * rng.standard_normal((n, 3))
+    sample = PsaSample(param_names=("u", "v"), params=params, nb=nb)
+    subset = ParamSubset.of(0, 1)
+    fitted, infos = gam_fit_detail(sample, subset)
+    assert fitted.shape == (n, 3) and len(infos) == 3
+    for t in range(3):
+        assert np.array_equal(fitted[:, t], gam_fit(sample, subset, t))
+        # the column fitted on its own next to a constant column
+        alone = PsaSample(
+            param_names=sample.param_names,
+            params=params,
+            nb=np.column_stack([np.zeros(n), nb[:, t]]),
+        )
+        col, alone_infos = gam_fit_detail(alone, subset)
+        assert np.allclose(col[:, 1], fitted[:, t], rtol=0, atol=1e-10)
+        assert alone_infos[1]["lambda"] == pytest.approx(infos[t]["lambda"], rel=1e-9)
+
+
+def test_fitted_values_match_cholesky_solve_at_chosen_lambda():
+    sample = _noisy_linear_gaussian(2_000, seed=7)
+    subset = ParamSubset.of(0, 1)
+    fitted, infos = gam_fit_detail(sample, subset)
+    for t in range(sample.n_treatments):
+        design, penalty, xtx, xty, _ = _normal_equations(sample, subset, t)
+        beta = cho_solve(cho_factor(xtx + infos[t]["lambda"] * penalty), xty)
+        ref = design @ beta + sample.nb[:, t].mean()
+        assert np.allclose(fitted[:, t], ref, rtol=0, atol=1e-8 * np.max(np.abs(ref)))
+
+
+def _reference_grid_argmin(sample, subset, t):
+    _, penalty, xtx, xty, yty = _normal_equations(sample, subset, t)
+    base = np.trace(xtx) / np.trace(penalty)
+    scores = [
+        _cholesky_gcv(lam, xtx, penalty, xty, yty, sample.n_sims)[0]
+        for lam in base * np.logspace(-8.0, 8.0, 33)
+    ]
+    return int(np.argmin(scores))
+
+
+def test_lambda_at_grid_edge_on_pure_noise():
+    # nothing to smooth: GCV runs to the largest lambda, a straight line
+    rng = np.random.default_rng(2)
+    sample = PsaSample(
+        param_names=("x",), params=rng.standard_normal((2_000, 1)),
+        nb=rng.standard_normal((2_000, 2)),
+    )
+    _, infos = gam_fit_detail(sample, ParamSubset.of(0))
+    for t, info in enumerate(infos):
+        assert _reference_grid_argmin(sample, ParamSubset.of(0), t) == 32
+        assert info["lambda_at_grid_edge"] is True
+        assert info["edf"] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_lambda_at_grid_edge_on_linear_gaussian(lin_sample):
+    # the conditional mean is linear in phi, so GCV may run to the edge;
+    # the flag must say exactly whether the grid minimum sat at either end
+    subset = ParamSubset.of(0)
+    noisy = _noisy_linear_gaussian(2_000, seed=8)
+    for sample in (lin_sample, noisy):
+        _, infos = gam_fit_detail(sample, subset)
+        for t, info in enumerate(infos):
+            if np.ptp(sample.nb[:, t]) == 0:
+                continue  # every score is 0: the argmin is a tie
+            best = _reference_grid_argmin(sample, subset, t)
+            assert info["lambda_at_grid_edge"] is (best in (0, 32)), (t, best)
+
+
+def test_lambda_inside_grid_for_curved_response():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2_000)
+    nb = np.column_stack([np.zeros(2_000), np.sin(2 * x) + 0.3 * rng.standard_normal(2_000)])
+    _, infos = gam_fit_detail(make_sample(nb, phi=x), ParamSubset.of(0))
+    assert infos[1]["lambda_at_grid_edge"] is False
+    assert infos[1]["edf"] > 3.0

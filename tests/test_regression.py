@@ -130,7 +130,7 @@ class TestBootstrap:
         def flaky(s):
             calls["n"] += 1
             if calls["n"] % 10 == 0:
-                raise RuntimeError("synthetic failure")
+                raise ValueError("synthetic failure")
             return float(s.nb[:, 1].mean())
 
         values, failures = bootstrap_estimates(
@@ -141,10 +141,44 @@ class TestBootstrap:
 
     def test_excessive_failures_abort(self, lin_sample):
         def broken(s):
-            raise RuntimeError("always down")
+            raise EstimationError("always down")
 
         with pytest.raises(EstimationError, match="bootstrap aborted"):
             bootstrap_estimates(broken, lin_sample, BootstrapConfig(10, seed=0))
+
+    def test_programming_errors_propagate(self, lin_sample):
+        def buggy(s):
+            return s.nb[:, 1].mean() + "oops"
+
+        with pytest.raises(TypeError):
+            bootstrap_estimates(buggy, lin_sample, BootstrapConfig(10, seed=0))
+        with pytest.raises(TypeError):
+            bootstrap_estimates(buggy, lin_sample, BootstrapConfig(10, seed=0), n_threads=3)
+
+    def test_abort_names_and_chains_first_failure(self, lin_sample):
+        # replicates 0, 3 and 6 fail: 3 of 10 is over the 20% limit
+        def three_in_ten(s):
+            b = int(np.flatnonzero(np.all(s.params == replicate_params, axis=(1, 2)))[0])
+            if b % 3 == 0 and b < 9:
+                raise ValueError(f"no luck on replicate {b}")
+            return float(s.nb[:, 1].mean())
+
+        cfg = BootstrapConfig(10, seed=4)
+        replicate_params = np.stack([
+            lin_sample.params[
+                np.random.default_rng([cfg.seed, b]).integers(
+                    0, lin_sample.n_sims, size=lin_sample.n_sims
+                )
+            ]
+            for b in range(cfg.n_replicates)
+        ])
+        with pytest.raises(EstimationError) as info:
+            bootstrap_estimates(three_in_ten, lin_sample, cfg, n_threads=2)
+        message = str(info.value)
+        assert "3/10 replicates failed" in message
+        assert "ValueError: no luck on replicate 0" in message
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "no luck on replicate 0"
 
 
 class TestEstimatorFrontEnds:

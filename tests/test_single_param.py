@@ -318,6 +318,33 @@ class TestSadEvppi:
         assert est.value == pytest.approx(expected, rel=1e-10)
         assert est.diagnostics["cut_ranks"] in argmaxes
 
+    def test_segment_treatments_expose_idle_cut(self):
+        sample = generate_psa(LinearGaussianSpec(a=-0.3), 40, seed=33)
+        est = sad_evppi(sample, 0, 2)
+        assert est.diagnostics["cut_ranks"] == [16, 33]
+        assert est.diagnostics["segment_treatments"] == [0, 1, 1]
+        # the second cut separates two segments that pick the same
+        # treatment: one cut reaches the same value
+        one = sad_evppi(sample, 0, 1)
+        assert one.diagnostics["cut_ranks"] == [16]
+        assert one.diagnostics["segment_treatments"] == [0, 1]
+        assert one.value == pytest.approx(est.value, rel=1e-12)
+        none = sad_evppi(sample, 0, 0)
+        assert none.diagnostics["segment_treatments"] == [
+            int(np.argmax(sample.nb.mean(axis=0)))
+        ]
+
+    @pytest.mark.parametrize("n_cuts", [1, 2, 3])
+    def test_segment_treatments_are_segment_argmaxes(self, n_cuts):
+        sample = _three_treatment_sample(500, seed=2)
+        est = sad_evppi(sample, 0, n_cuts)
+        ordered = sample.nb[np.argsort(sample.params[:, 0], kind="stable")]
+        bounds = [0, *est.diagnostics["cut_ranks"], sample.n_sims]
+        expected = [
+            int(np.argmax(ordered[lo:hi].sum(axis=0))) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert est.diagnostics["segment_treatments"] == expected
+
     @pytest.mark.parametrize("n_cuts", [1, 2, 3])
     @pytest.mark.parametrize(
         "spec,n_rows,seed,p",
