@@ -32,8 +32,8 @@ from .single_param import (
     so_choose_bins,
     so_evppi,
 )
-from .gam import gam_fit, gam_fit_detail
-from .gp import GpHyperparameters, gp_fit, gp_fit_detail
+from .gam import gam_fit_detail
+from .gp import GpHyperparameters, gp_fit_detail
 from .regression import (
     BootstrapConfig,
     RegressionFit,
@@ -84,10 +84,8 @@ __all__ = [
     "so_bias",
     "so_choose_bins",
     "so_evppi",
-    "gam_fit",
     "gam_fit_detail",
     "GpHyperparameters",
-    "gp_fit",
     "gp_fit_detail",
     "BootstrapConfig",
     "RegressionFit",

@@ -28,7 +28,7 @@ from scipy.linalg import eigh
 
 from .psa import ParamSubset, PsaSample
 
-__all__ = ["gam_fit", "gam_fit_detail", "MAX_GAM_DIMENSIONS"]
+__all__ = ["gam_fit_detail", "MAX_GAM_DIMENSIONS"]
 
 MAX_GAM_DIMENSIONS = 5
 
@@ -310,16 +310,3 @@ def gam_fit_detail(
     fitted = design @ (vecs @ (shrink * coords)) + y_mean
     return fitted, infos
 
-
-def gam_fit(
-    sample: PsaSample,
-    subset: ParamSubset,
-    t: int,
-    interactions: bool | None = None,
-) -> np.ndarray:
-    """Spline-smoothed conditional mean of net-benefit column ``t``,
-    evaluated at the observed parameter values."""
-    if not 0 <= t < sample.n_treatments:
-        raise ValueError(f"treatment index {t} out of range (T={sample.n_treatments})")
-    fitted, _ = gam_fit_detail(sample, subset, interactions=interactions)
-    return fitted[:, t]

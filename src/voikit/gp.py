@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 
 from .psa import ParamSubset, PsaSample
 
-__all__ = ["GpHyperparameters", "gp_fit", "gp_fit_detail"]
+__all__ = ["GpHyperparameters", "gp_fit_detail"]
 
 N_HYPER_ROWS = 500
 N_RESTARTS = 5
@@ -350,15 +350,3 @@ def gp_fit_detail(
     }
     return fitted, info
 
-
-def gp_fit(
-    sample: PsaSample,
-    subset: ParamSubset,
-    t: int,
-    seed: int = 0,
-    hyperparameters: GpHyperparameters | None = None,
-) -> np.ndarray:
-    """GP posterior-mean smoothing of one net-benefit column, evaluated at
-    the observed parameter values."""
-    fitted, _ = gp_fit_detail(sample, subset, t, seed=seed, hyperparameters=hyperparameters)
-    return fitted

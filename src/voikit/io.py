@@ -160,8 +160,8 @@ def write_psa_csv(path, sample: PsaSample) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in table:
-            writer.writerow([repr(float(x)) for x in row])
+        # csv writes a Python float as its repr, the shortest round-trip form
+        writer.writerows(table.tolist())
 
 
 def write_provenance(path, payload: dict) -> None:

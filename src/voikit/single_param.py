@@ -151,9 +151,11 @@ def order_by_param(sample: PsaSample, p: int) -> np.ndarray:
     return np.argsort(sample.param_column(p), kind="stable")
 
 
-def _phi_diagnostics(values: np.ndarray) -> dict:
-    n_unique = np.unique(values).size
-    tie_fraction = 1.0 - n_unique / values.size
+def _phi_diagnostics(phi_sorted: np.ndarray) -> dict:
+    """Tie and constancy flags of a parameter column already in ascending
+    order, so distinct values are counted without another sort."""
+    n_unique = 1 + int(np.count_nonzero(phi_sorted[1:] != phi_sorted[:-1]))
+    tie_fraction = 1.0 - n_unique / phi_sorted.size
     diag: dict = {"tie_fraction": float(tie_fraction)}
     if n_unique == 1:
         diag["constant_param"] = True
@@ -192,7 +194,6 @@ def so_evppi(sample: PsaSample, p: int, n_bins: int) -> EvppiEstimate:
     the parameter matter, so any strictly increasing transform of the
     column leaves the estimate unchanged.
     """
-    phi = sample.param_column(p)
     partition = BinPartition.build(sample.n_sims, n_bins)
     perm = order_by_param(sample, p)
     means, sizes = _binned_stats(sample.nb[perm], partition)
@@ -203,7 +204,7 @@ def so_evppi(sample: PsaSample, p: int, n_bins: int) -> EvppiEstimate:
         "bins": int(n_bins),
         "bin_size": partition.bin_size,
         "bin_argmax": means.argmax(axis=1).tolist(),
-        **_phi_diagnostics(phi),
+        **_phi_diagnostics(sample.param_column(p)[perm]),
     }
     return EvppiEstimate.clamped(
         value, "SO", nb_scale=float(np.max(np.abs(sample.nb))), diagnostics=diag
@@ -274,35 +275,34 @@ def so_choose_bins(
     threshold: float = DEFAULT_BIAS_THRESHOLD,
     n_mc: int = DEFAULT_BIAS_REPLICATES,
     seed: int = 0,
-    grid: tuple[int, ...] = BIN_GRID,
 ) -> tuple[int, float]:
     """Largest candidate bin count whose estimated upward bias is below
-    ``threshold`` (in net-benefit currency units).
+    ``threshold`` (in net-benefit currency units), with that bias.
 
-    Falls back to a single bin, with a warning, when no candidate
-    qualifies.  Each candidate's bias uses a seed derived from
-    (seed, candidate), so the choice is reproducible.
+    The candidates are the :data:`BIN_GRID` entries up to S/10.  They are
+    scanned from the largest down and the scan stops at the first one under
+    the threshold, so only candidates at or above the choice have their
+    bias estimated.  Each candidate's bias uses a seed derived from
+    (seed, candidate), so the result is reproducible and the same as
+    estimating every candidate and keeping the largest qualifying one.
+    Falls back to a single bin, with a warning and the single bin's bias,
+    when no candidate qualifies.
     """
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     max_bins = max(1, sample.n_sims // 10)
-    candidates = sorted(
-        m for m in set(grid) if 1 <= m <= max_bins and sample.n_sims // m >= 2
+    # BIN_GRID ascends from 1, so the scan always ends at the single bin
+    for m in reversed(BIN_GRID):
+        if m > max_bins:
+            continue
+        bias = so_bias(sample, p, m, n_mc=n_mc, seed=[seed, m])
+        if bias < threshold:
+            return m, bias
+    warnings.warn(
+        f"no candidate bin count has upward bias below {threshold}; "
+        "falling back to a single bin (estimate will be 0)"
     )
-    if not candidates:
-        candidates = [1]
-    biases = {
-        m: so_bias(sample, p, m, n_mc=n_mc, seed=[seed, m]) for m in candidates
-    }
-    eligible = [m for m in candidates if biases[m] < threshold]
-    if not eligible:
-        warnings.warn(
-            f"no candidate bin count has upward bias below {threshold}; "
-            "falling back to a single bin (estimate will be 0)"
-        )
-        return 1, biases[candidates[0]]
-    best = max(eligible)
-    return best, biases[best]
+    return 1, bias
 
 
 def _relative_prefix_sums(nb_ordered: np.ndarray) -> np.ndarray:
@@ -385,8 +385,9 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
     if n_changes >= sample.n_sims:
         raise ValueError("more decision changes than simulation rows")
 
-    phi = sample.param_column(p)
-    diag: dict = {"changes": int(n_changes), **_phi_diagnostics(phi)}
+    perm = order_by_param(sample, p)
+    phi_sorted = sample.param_column(p)[perm]
+    diag: dict = {"changes": int(n_changes), **_phi_diagnostics(phi_sorted)}
     nb_scale = float(np.max(np.abs(sample.nb)))
 
     if n_changes == 0:
@@ -395,12 +396,10 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
         diag["segment_treatments"] = [int(np.argmax(sample.nb.sum(axis=0)))]
         return EvppiEstimate.clamped(0.0, "SAD", nb_scale, diagnostics=diag)
 
-    perm = order_by_param(sample, p)
     prefix = _relative_prefix_sums(sample.nb[perm])
     best, cut_ranks = _best_cuts(prefix, n_changes)
     value = best / sample.n_sims
 
-    phi_sorted = phi[perm]
     bounds = [0, *cut_ranks, sample.n_sims]
     diag["cut_ranks"] = [int(c) for c in cut_ranks]
     diag["cut_values"] = [float(phi_sorted[c]) for c in cut_ranks]

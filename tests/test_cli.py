@@ -9,8 +9,10 @@ from voikit import (
     LinearGaussianSpec,
     NonlinearToySpec,
     PsaSample,
+    evpi,
     generate_psa,
     read_psa_csv,
+    so_choose_bins,
     write_psa_csv,
 )
 from voikit.cli import main
@@ -61,6 +63,20 @@ class TestEvppiCommand:
         assert payload["diagnostics"]["bin_selection"] == "bias-threshold"
         assert payload["diagnostics"]["bins"] >= 1
         assert "chosen_bias" in payload["diagnostics"]
+
+    def test_so_relative_bias_threshold(self, capsys, lin_csv):
+        rc, out, _ = _run(capsys, [
+            "evppi", "--file", lin_csv, "--method", "so", "--params", "phi",
+            "--bias-threshold-relative", "0.01", "--seed", "5",
+        ])
+        assert rc == 0
+        diag = json.loads(out)["diagnostics"]
+        sample = read_psa_csv(lin_csv)
+        p = sample.param_index("phi")
+        expected = so_choose_bins(sample, p, threshold=0.01 * evpi(sample.nb), seed=5)
+        assert (diag["bins"], diag["chosen_bias"]) == expected
+        # the relative cap, not the absolute default, made the choice
+        assert expected[0] != so_choose_bins(sample, p, seed=5)[0]
 
     def test_sad_requires_changes(self, capsys, lin_csv):
         rc, _, err = _run(capsys, [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from voikit import LinearGaussianSpec, ParamSubset, PsaSample, gam_fit, gam_fit_detail, generate_psa
+from voikit import LinearGaussianSpec, ParamSubset, PsaSample, gam_fit_detail, generate_psa
 from voikit import gam
 
 from conftest import make_sample
@@ -13,7 +13,7 @@ from conftest import make_sample
 def test_constant_column_reproduced_exactly():
     nb = np.column_stack([np.full(80, 7.5), np.random.default_rng(0).normal(size=80)])
     sample = make_sample(nb)
-    fitted = gam_fit(sample, ParamSubset.of(0), 0)
+    fitted = gam_fit_detail(sample, ParamSubset.of(0))[0][:, 0]
     assert np.allclose(fitted, 7.5, rtol=0, atol=1e-9)
 
 
@@ -24,7 +24,7 @@ def test_exactly_linear_response_reproduced():
     phi = rng.standard_normal(400)
     nb1 = 2.0 + 3.0 * phi
     sample = make_sample(np.column_stack([np.zeros(400), nb1]), phi=phi)
-    fitted = gam_fit(sample, ParamSubset.of(0), 1)
+    fitted = gam_fit_detail(sample, ParamSubset.of(0))[0][:, 1]
     rel = np.max(np.abs(fitted - nb1)) / np.max(np.abs(nb1))
     assert rel <= 1e-6
 
@@ -34,7 +34,7 @@ def test_conditional_mean_rmse_on_linear_gaussian():
     # smoother recovers it at root-(edf/S) accuracy
     spec = LinearGaussianSpec()
     sample = generate_psa(spec, 10_000, seed=5)
-    fitted = gam_fit(sample, ParamSubset.of(0), 1)
+    fitted = gam_fit_detail(sample, ParamSubset.of(0))[0][:, 1]
     true = spec.a + spec.b * sample.params[:, 0]
     rmse = float(np.sqrt(np.mean((fitted - true) ** 2)))
     assert rmse <= 2.0 * spec.c / np.sqrt(sample.n_sims)
@@ -44,7 +44,7 @@ def test_constant_parameter_column_is_rank_deficient():
     nb = np.random.default_rng(2).normal(size=(50, 2))
     sample = make_sample(nb, phi=np.full(50, 3.0))
     with pytest.raises(ValueError, match="rank-deficient"):
-        gam_fit(sample, ParamSubset.of(0), 0)
+        gam_fit_detail(sample, ParamSubset.of(0))
 
 
 def test_subset_size_capped():
@@ -55,24 +55,24 @@ def test_subset_size_capped():
         nb=rng.normal(size=(60, 2)),
     )
     with pytest.raises(ValueError, match="unstable beyond 5"):
-        gam_fit(sample, ParamSubset(tuple(range(6))), 0)
+        gam_fit_detail(sample, ParamSubset(tuple(range(6))))
 
 
 def test_deterministic(lin_sample):
-    a = gam_fit(lin_sample, ParamSubset.of(0), 1)
-    b = gam_fit(lin_sample, ParamSubset.of(0), 1)
+    a = gam_fit_detail(lin_sample, ParamSubset.of(0))[0][:, 1]
+    b = gam_fit_detail(lin_sample, ParamSubset.of(0))[0][:, 1]
     assert np.array_equal(a, b)
 
 
 def test_shift_equivariance():
     sample = generate_psa(LinearGaussianSpec(), 800, seed=9)
-    base = gam_fit(sample, ParamSubset.of(0), 1)
+    base = gam_fit_detail(sample, ParamSubset.of(0))[0][:, 1]
     shifted = PsaSample(
         param_names=sample.param_names,
         params=sample.params,
         nb=sample.nb + np.array([0.0, 55.0]),
     )
-    moved = gam_fit(shifted, ParamSubset.of(0), 1)
+    moved = gam_fit_detail(shifted, ParamSubset.of(0))[0][:, 1]
     assert np.allclose(moved, base + 55.0, rtol=1e-9, atol=1e-8)
 
 
@@ -118,11 +118,6 @@ def test_detail_reports_gcv_and_edf(lin_sample):
     assert info["gcv"] > 0
     assert info["lambda"] > 0
     assert info["residual_var"] >= 0
-
-
-def test_bad_treatment_index(lin_sample):
-    with pytest.raises(ValueError, match="treatment index"):
-        gam_fit(lin_sample, ParamSubset.of(0), 5)
 
 
 # -- shared basis and spectral GCV ------------------------------------------
@@ -228,7 +223,6 @@ def test_all_columns_fit_like_each_column_alone():
     fitted, infos = gam_fit_detail(sample, subset)
     assert fitted.shape == (n, 3) and len(infos) == 3
     for t in range(3):
-        assert np.array_equal(fitted[:, t], gam_fit(sample, subset, t))
         # the column fitted on its own next to a constant column
         alone = PsaSample(
             param_names=sample.param_names,

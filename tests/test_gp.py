@@ -10,7 +10,6 @@ from voikit import (
     ParamSubset,
     PsaSample,
     generate_psa,
-    gp_fit,
     gp_fit_detail,
 )
 from voikit.gp import JITTER_FACTOR, _kernel
@@ -54,7 +53,7 @@ def test_huge_nugget_shrinks_to_column_mean():
     sample = make_sample(np.column_stack([np.zeros(400), nb1]), phi=phi)
     sig = float(nb1.var())
     hp = GpHyperparameters(length_scales=(1.0,), signal_var=sig, noise_var=1e6 * sig)
-    fitted = gp_fit(sample, ParamSubset.of(0), 1, hyperparameters=hp)
+    fitted = gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)[0]
     max_dev = np.max(np.abs(fitted - nb1.mean()))
     assert max_dev <= 0.01 * np.ptp(nb1)
 
@@ -62,7 +61,7 @@ def test_huge_nugget_shrinks_to_column_mean():
 def test_conditional_mean_rmse_on_linear_gaussian():
     spec = LinearGaussianSpec()
     sample = generate_psa(spec, 10_000, seed=5)
-    fitted = gp_fit(sample, ParamSubset.of(0), 1, seed=3)
+    fitted = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=3)[0]
     true = spec.a + spec.b * sample.params[:, 0]
     rmse = float(np.sqrt(np.mean((fitted - true) ** 2)))
     assert rmse <= 2.0 * spec.c / np.sqrt(sample.n_sims)
@@ -77,7 +76,7 @@ def test_small_sample_matches_exact_gp_posterior_mean():
     y = np.sin(phi) + 0.1 * rng.standard_normal(n)
     sample = make_sample(np.column_stack([np.zeros(n), y]), phi=phi)
     hp = GpHyperparameters(length_scales=(0.8,), signal_var=1.3, noise_var=0.05)
-    fitted = gp_fit(sample, ParamSubset.of(0), 1, hyperparameters=hp)
+    fitted = gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)[0]
 
     x = (phi - phi.mean()) / phi.std()
     yc = (y - y.mean()) / y.std()
@@ -91,8 +90,8 @@ def test_small_sample_matches_exact_gp_posterior_mean():
 
 
 def test_deterministic_given_seed(lin_sample):
-    a = gp_fit(lin_sample, ParamSubset.of(0), 1, seed=4)
-    b = gp_fit(lin_sample, ParamSubset.of(0), 1, seed=4)
+    a = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, seed=4)[0]
+    b = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, seed=4)[0]
     assert np.array_equal(a, b)
 
 
@@ -115,13 +114,13 @@ def test_two_dimensional_subset():
 def test_shift_equivariance_with_fixed_kernel():
     sample = generate_psa(LinearGaussianSpec(), 500, seed=9)
     hp = GpHyperparameters(length_scales=(1.5,), signal_var=2.0, noise_var=1.0)
-    base = gp_fit(sample, ParamSubset.of(0), 1, hyperparameters=hp)
+    base = gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)[0]
     shifted = PsaSample(
         param_names=sample.param_names,
         params=sample.params,
         nb=sample.nb + np.array([0.0, -17.0]),
     )
-    moved = gp_fit(shifted, ParamSubset.of(0), 1, hyperparameters=hp)
+    moved = gp_fit_detail(shifted, ParamSubset.of(0), 1, hyperparameters=hp)[0]
     assert np.allclose(moved, base - 17.0, rtol=1e-9, atol=1e-8)
 
 
@@ -142,14 +141,19 @@ def test_fallback_on_optimizer_failure(monkeypatch):
 def test_length_scale_count_checked(lin_sample):
     hp = GpHyperparameters(length_scales=(1.0, 1.0), signal_var=1.0, noise_var=1.0)
     with pytest.raises(ValueError, match="length scales"):
-        gp_fit(lin_sample, ParamSubset.of(0), 1, hyperparameters=hp)
+        gp_fit_detail(lin_sample, ParamSubset.of(0), 1, hyperparameters=hp)
+
+
+def test_bad_treatment_index(lin_sample):
+    with pytest.raises(ValueError, match="treatment index"):
+        gp_fit_detail(lin_sample, ParamSubset.of(0), 5)
 
 
 def test_constant_parameter_rejected():
     nb = np.random.default_rng(3).normal(size=(50, 2))
     sample = make_sample(nb, phi=np.zeros(50))
     with pytest.raises(ValueError, match="carry no information"):
-        gp_fit(sample, ParamSubset.of(0), 0)
+        gp_fit_detail(sample, ParamSubset.of(0), 0)
 
 
 def test_hyperparameter_validation():

@@ -7,6 +7,7 @@ from voikit import (
     LinearGaussianSpec,
     NonlinearToySpec,
     PsaFormatError,
+    PsaSample,
     generate_psa,
     read_psa_csv,
     write_psa_csv,
@@ -34,6 +35,23 @@ def test_effect_cost_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(back.costs, sample.costs)
     assert np.array_equal(back.nb, sample.nb)
     assert back.k == 20_000.0
+
+
+def test_written_bytes(tmp_path):
+    # CRLF line ends and each float's shortest round-trip repr, signed zero
+    # and subnormals included
+    sample = PsaSample(
+        param_names=("x",),
+        params=np.array([[-0.0], [5e-324]]),
+        nb=np.array([[1e300, 0.1], [-2.5, 3.0]]),
+    )
+    path = tmp_path / "psa.csv"
+    write_psa_csv(path, sample)
+    assert path.read_bytes() == (
+        b"param:x,nb:0,nb:1\r\n"
+        b"-0.0,1e+300,0.1\r\n"
+        b"5e-324,-2.5,3.0\r\n"
+    )
 
 
 def test_effect_cost_needs_k(tmp_path):

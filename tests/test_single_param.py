@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from voikit import (
     so_choose_bins,
     so_evppi,
 )
-from voikit.single_param import _relative_prefix_sums, segmentation_vector
+from voikit import single_param
+from voikit.single_param import BIN_GRID, _relative_prefix_sums, segmentation_vector
 
 from conftest import make_sample
 
@@ -188,12 +190,7 @@ class TestSoChooseBins:
         assert chosen[0] > chosen[2]
 
     def test_no_candidate_falls_back_to_single_bin(self):
-        # equal-mean independent columns: every bin count, including a
-        # single bin, carries strictly positive upward bias
-        rng = np.random.default_rng(4)
-        nb = rng.standard_normal((400, 2))
-        nb -= nb.mean(axis=0)
-        sample = make_sample(nb)
+        sample = _equal_mean_sample(400)
         with pytest.warns(UserWarning, match="falling back"):
             m, bias = so_choose_bins(sample, 0, threshold=1e-9, n_mc=50, seed=0)
         assert m == 1
@@ -202,6 +199,101 @@ class TestSoChooseBins:
     def test_threshold_validated(self, lin_sample):
         with pytest.raises(ValueError, match="threshold"):
             so_choose_bins(lin_sample, 0, threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "n, c, threshold, kind",
+        [
+            (4_000, 2.0, 0.1, "top"),
+            (4_000, 8.0, 0.1, "interior"),
+            (2_000, 1.0, 3e-3, "interior"),
+            (400, None, 1e-9, "fallback"),
+            (15, 1.0, 0.5, "single"),
+            (15, None, 1e-9, "fallback"),
+        ],
+    )
+    def test_matches_evaluate_all_reference(self, n, c, threshold, kind):
+        if c is None:
+            sample = _equal_mean_sample(n)
+        else:
+            sample = generate_psa(LinearGaussianSpec(c=c), n, seed=17)
+        expected = _so_choose_bins_reference(sample, 0, threshold, n_mc=100, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = so_choose_bins(sample, 0, threshold=threshold, n_mc=100, seed=1)
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]  # bit-equal: same seed per candidate
+        assert any("falling back" in str(w.message) for w in caught) == (kind == "fallback")
+        top = max(m for m in BIN_GRID if m <= max(1, n // 10))
+        assert {"top": got[0] == top, "interior": 1 < got[0] < top,
+                "fallback": got[0] == 1, "single": got[0] == top == 1}[kind]
+
+    def _count_bias_calls(self, monkeypatch):
+        calls = []
+        original = single_param.so_bias
+
+        def counted(sample, p, n_bins, **kwargs):
+            calls.append(n_bins)
+            return original(sample, p, n_bins, **kwargs)
+
+        monkeypatch.setattr(single_param, "so_bias", counted)
+        return calls
+
+    def test_stops_at_first_candidate_under_threshold(self, monkeypatch):
+        calls = self._count_bias_calls(monkeypatch)
+        sample = generate_psa(LinearGaussianSpec(c=2.0), 4_000, seed=17)
+        assert so_choose_bins(sample, 0, threshold=0.1, n_mc=100, seed=1)[0] == 200
+        assert calls == [200]
+
+    def test_fallback_scans_every_candidate(self, monkeypatch):
+        calls = self._count_bias_calls(monkeypatch)
+        sample = _equal_mean_sample(400)
+        with pytest.warns(UserWarning, match="falling back"):
+            so_choose_bins(sample, 0, threshold=1e-9, n_mc=20, seed=1)
+        assert calls == sorted((m for m in BIN_GRID if m <= 40), reverse=True)
+
+
+def _equal_mean_sample(n):
+    """Equal-mean independent columns: every bin count, including a single
+    bin, carries strictly positive upward bias."""
+    rng = np.random.default_rng(4)
+    nb = rng.standard_normal((n, 2))
+    nb -= nb.mean(axis=0)
+    return make_sample(nb)
+
+
+def _so_choose_bins_reference(sample, p, threshold, n_mc, seed):
+    """Evaluate-all bin choice: the bias of every candidate, then the
+    largest candidate under the threshold, or one bin if none is."""
+    max_bins = max(1, sample.n_sims // 10)
+    candidates = sorted(
+        m for m in BIN_GRID if 1 <= m <= max_bins and sample.n_sims // m >= 2
+    ) or [1]
+    biases = {m: so_bias(sample, p, m, n_mc=n_mc, seed=[seed, m]) for m in candidates}
+    eligible = [m for m in candidates if biases[m] < threshold]
+    best = max(eligible) if eligible else 1
+    return best, biases[best]
+
+
+class TestParameterTies:
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda sample: so_evppi(sample, 0, 4),
+            lambda sample: sad_evppi(sample, 0, 0),
+            lambda sample: sad_evppi(sample, 0, 1),
+        ],
+        ids=["so", "sad-d0", "sad-d1"],
+    )
+    @pytest.mark.parametrize("k", [2, 20, 150])
+    def test_tie_fraction_counts_distinct_values(self, estimate, k):
+        n = 300
+        rng = np.random.default_rng(k)
+        phi = rng.permutation(np.arange(n) % k) * 0.5 - 3.0
+        sample = make_sample(rng.standard_normal((n, 2)), phi=phi)
+        diag = estimate(sample).diagnostics
+        assert diag["tie_fraction"] == 1.0 - k / n
+        assert diag["tie_warning"] is True
+        assert "constant_param" not in diag
 
 
 def _sad_brute_force_one_cut(sample, p):
