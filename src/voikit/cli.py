@@ -485,10 +485,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject a count that cannot mean what was asked, before any work."""
+    bootstrap = getattr(args, "bootstrap", 0)
+    if bootstrap < 0 or bootstrap == 1:
+        raise _UsageError(
+            f"--bootstrap must be 0 (no standard error) or at least 2, got {bootstrap}"
+        )
+    # the --mc-* floors are the ones nested_mc_evppi enforces
+    for flag, floor in (("threads", 1), ("mc_outer", 2), ("mc_inner", 1)):
+        value = getattr(args, flag, floor)
+        if value < floor:
+            name = "--" + flag.replace("_", "-")
+            raise _UsageError(f"{name} must be at least {floor}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (_UsageError, PsaFormatError) as exc:
         print(f"voikit: error: {exc}", file=sys.stderr)

@@ -15,6 +15,9 @@ eigendecomposition (the Demmler-Reinsch form; Wood, *Generalized Additive
 Models*, 2nd ed., 2017, section 5.4) diagonalizes the normal equations at
 every smoothing level at once, so each GCV score costs O(p) for p basis
 functions instead of a Cholesky factorization.
+
+scipy is imported inside the functions that call it, so importing voikit
+(and running a command that fits no spline) does not load it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import eigh
 
 from .psa import ParamSubset, PsaSample
 
@@ -64,6 +65,8 @@ class _Basis:
         return cls(knots=knots, n_funcs=len(knots) - _DEGREE - 1)
 
     def design(self, x: np.ndarray) -> np.ndarray:
+        from scipy.interpolate import BSpline
+
         lo, hi = self.knots[_DEGREE], self.knots[-_DEGREE - 1]
         return BSpline.design_matrix(
             np.clip(x, lo, hi), self.knots, _DEGREE
@@ -76,6 +79,8 @@ class _Basis:
         two-point Gauss rule per breakpoint interval integrates the products
         exactly.  Linear functions lie in the null space.
         """
+        from scipy.interpolate import BSpline
+
         bp = self.knots[_DEGREE : len(self.knots) - _DEGREE]
         spl2 = BSpline(self.knots, np.eye(self.n_funcs), _DEGREE).derivative(2)
         pen = np.zeros((self.n_funcs, self.n_funcs))
@@ -170,6 +175,8 @@ def _demmler_reinsch(xtx: np.ndarray, penalty: np.ndarray):
     is never factored on its own; the penalty term is what keeps
     ``xtx + base * penalty`` positive definite.
     """
+    from scipy.linalg import eigh
+
     base = np.trace(xtx) / max(np.trace(penalty), 1e-300)
     try:
         _, vecs = eigh(penalty, xtx + base * penalty)

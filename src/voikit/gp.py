@@ -13,6 +13,9 @@ the exact GP posterior mean.
 The marginal-likelihood objective is evaluated a few hundred times per
 fit, so it reuses preallocated buffers and in-place LAPACK calls instead
 of building fresh kernel matrices each step.
+
+scipy is imported inside the functions that call it, so importing voikit
+(and running a command that fits no GP) does not load it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotri
-from scipy.optimize import minimize
 
 from .psa import ParamSubset, PsaSample
 
@@ -64,6 +63,14 @@ class GpHyperparameters:
         if not (self.noise_var >= 0 and math.isfinite(self.noise_var)):
             raise ValueError(f"noise variance must be >= 0, got {self.noise_var}")
         object.__setattr__(self, "length_scales", ls)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first hyperparameter
+    search."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _kernel(x1: np.ndarray, x2: np.ndarray, ls, sf2: float) -> np.ndarray:
@@ -117,6 +124,9 @@ class _MarginalLikelihood:
         return 2.0 * off + float(np.einsum("ii->", self._tmp))
 
     def __call__(self, theta: np.ndarray):
+        from scipy.linalg import cholesky, solve_triangular
+        from scipy.linalg.lapack import dpotri
+
         d, n = self.d, self.n
         ls2 = np.exp(2.0 * theta[:d])
         sf2 = math.exp(theta[d])
@@ -234,6 +244,9 @@ def _posterior_mean(
     GP posterior mean.  Cross-covariances are processed in row chunks so
     memory stays bounded for very large samples.
     """
+    from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+    from scipy.linalg.blas import dsyrk
+
     n_rows = x_all.shape[0]
     m = inducing.size
     x_ind = x_all[inducing]

@@ -54,6 +54,55 @@ def _split_header(header: list[str]):
     return params, nb, effects, costs
 
 
+def _parse_rows(lines: list[str], header: list[str], path: Path) -> np.ndarray:
+    """The data rows as a table of len(header) columns, each cell read as
+    ``float(cell)`` reads it.
+
+    numpy's C parser reads all lines in one call.  Its table stands only
+    with one row per line and one column per header cell, since
+    ``loadtxt`` skips the blank lines the format rejects.  Anything else
+    (ragged rows, quoted or unparseable cells, spellings only ``float``
+    takes, such as ``1_0``) goes through the cell-level loop, which accepts
+    what ``float`` accepts and words the error.  Both parse numbers with
+    CPython's correctly rounded ``PyOS_string_to_double``, so they agree
+    bit for bit.
+    """
+    width = len(header)
+    # loadtxt warns when it finds no data; a leading blank line is an error
+    # anyway, so the loop reports it
+    if lines[0][0] not in "\r\n":
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape == (len(lines), width):
+                return table
+    return _parse_cells(lines, header, path)
+
+
+def _parse_cells(lines: list[str], header: list[str], path: Path) -> np.ndarray:
+    """The data lines through csv, each cell through ``float``; the first
+    ragged row or unparseable cell raises :class:`PsaFormatError`."""
+    width = len(header)
+    rows = list(csv.reader(lines))
+    table = np.empty((len(rows), width), dtype=float)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise PsaFormatError(
+                f"{path}: row {i + 2} has {len(row)} cells, header has {width}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                table[i, j] = float(cell)
+            except ValueError:
+                raise PsaFormatError(
+                    f"{path}: row {i + 2}, column {header[j]!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+    return table
+
+
 def read_psa_csv(path, k: float | None = None) -> PsaSample:
     """Parse a PSA CSV file into a :class:`PsaSample`.
 
@@ -62,12 +111,12 @@ def read_psa_csv(path, k: float | None = None) -> PsaSample:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise PsaFormatError(f"{path}: empty file") from None
-        rows = list(reader)
+        # newline="" ends lines at \r\n, \r and \n, as csv does, and keeps them
+        lines = fh.readlines()
 
     params, nb_cols, effect_cols, cost_cols = _split_header(header)
     if not params:
@@ -89,23 +138,9 @@ def read_psa_csv(path, k: float | None = None) -> PsaSample:
                 f"{path}: effect/cost columns need a willingness to pay to build nb"
             )
 
-    if not rows:
+    if not lines:
         raise PsaFormatError(f"{path}: no data rows")
-    width = len(header)
-    table = np.empty((len(rows), width), dtype=float)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise PsaFormatError(
-                f"{path}: row {i + 2} has {len(row)} cells, header has {width}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                table[i, j] = float(cell)
-            except ValueError:
-                raise PsaFormatError(
-                    f"{path}: row {i + 2}, column {header[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
+    table = _parse_rows(lines, header, path)
     if not np.all(np.isfinite(table)):
         raise PsaFormatError(f"{path}: non-finite values in data")
 

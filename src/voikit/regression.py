@@ -10,6 +10,7 @@ and quantifies sampling uncertainty by resampling simulation rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -200,17 +201,29 @@ def with_bootstrap(
     """``estimate`` with a bootstrap standard error; unchanged when
     ``config`` is None.
 
-    The diagnostics gain the replicate values (``bootstrap_replicates``)
-    and the count of replicates that failed (``bootstrap_failures``).
+    The diagnostics gain the replicate values (``bootstrap_replicates``),
+    the count of replicates that failed (``bootstrap_failures``) and that
+    count by exception class name, in name order
+    (``bootstrap_failure_types``).
     """
     if config is None:
         return estimate
+    failed: list[str] = []  # list.append is atomic, so worker threads share it
+
+    def recording(s: PsaSample):
+        try:
+            return estimator(s)
+        except REPLICATE_FAILURES as exc:
+            failed.append(type(exc).__name__)
+            raise
+
     values, failures = bootstrap_estimates(
-        estimator, sample, config, n_threads=n_threads
+        recording, sample, config, n_threads=n_threads
     )
     diag = dict(estimate.diagnostics)
     diag["bootstrap_replicates"] = values.tolist()
     diag["bootstrap_failures"] = failures
+    diag["bootstrap_failure_types"] = dict(sorted(Counter(failed).items()))
     return EvppiEstimate(
         value=estimate.value,
         method=estimate.method,

@@ -1,10 +1,15 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voikit
 from voikit import (
     LinearGaussianSpec,
     NonlinearToySpec,
@@ -137,6 +142,7 @@ class TestEvppiCommand:
         replicates = payload["diagnostics"]["bootstrap_replicates"]
         assert len(replicates) == 5
         assert payload["diagnostics"]["bootstrap_failures"] == 0
+        assert payload["diagnostics"]["bootstrap_failure_types"] == {}
         assert payload["std_error"] == pytest.approx(np.std(replicates, ddof=1))
         assert payload["std_error"] > 0
 
@@ -491,3 +497,88 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(
+            ["compare", "--params", "phi", "--bootstrap", "1"],
+            "--bootstrap must be 0 (no standard error) or at least 2, got 1",
+            id="bootstrap",
+        ),
+        pytest.param(
+            ["evppi", "--method", "so", "--params", "phi", "--threads", "-4"],
+            "--threads must be at least 1, got -4",
+            id="threads",
+        ),
+        pytest.param(
+            ["compare", "--params", "phi", "--model", "linear-gaussian",
+             "--mc-outer", "0"],
+            "--mc-outer must be at least 2, got 0",
+            id="mc-outer",
+        ),
+        pytest.param(
+            ["compare", "--params", "phi", "--model", "linear-gaussian",
+             "--mc-inner", "0"],
+            "--mc-inner must be at least 1, got 0",
+            id="mc-inner",
+        ),
+    ])
+    def test_bad_count_rejected_before_any_work(self, capsys, tmp_path, argv, message):
+        # the file does not exist: the count is checked before it is opened
+        missing = str(tmp_path / "missing.csv")
+        rc, out, err = _run(capsys, argv[:1] + ["--file", missing] + argv[1:])
+        assert rc == 1
+        assert out == ""
+        assert err == f"voikit: error: {message}\n"
+
+
+_COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {}
+import voikit
+loaded["import voikit"] = scipy_modules()
+import voikit.cli
+loaded["import voikit.cli"] = scipy_modules()
+
+csv_path, curve_path = sys.argv[1], sys.argv[2]
+commands = {
+    "simulate": ["simulate", "--model", "linear-gaussian", "--sims", "400",
+                 "--seed", "2", "--out", csv_path],
+    "vistool": ["vistool", "--file", csv_path, "--param", "phi", "--out", curve_path],
+    "evppi so": ["evppi", "--file", csv_path, "--method", "so", "--params", "phi"],
+    "evppi sad": ["evppi", "--file", csv_path, "--method", "sad", "--params", "phi",
+                  "--changes", "1", "--bootstrap", "4"],
+}
+for name, argv in commands.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert voikit.cli.main(argv) == 0, name
+    loaded[name] = scipy_modules()
+
+fitted, _ = voikit.gam_fit_detail(voikit.read_psa_csv(csv_path), voikit.ParamSubset.of(0))
+loaded["gam fit"] = scipy_modules()
+print(json.dumps({"loaded": loaded, "fit_rows": len(fitted)}))
+"""
+
+
+def test_commands_without_a_smoother_never_import_scipy(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(voikit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_START_SCRIPT,
+         str(tmp_path / "psa.csv"), str(tmp_path / "curve.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report = json.loads(result.stdout)
+    loaded = report.pop("loaded")
+    assert loaded.pop("gam fit"), "the first GAM fit imports scipy"
+    assert loaded == {
+        step: [] for step in (
+            "import voikit", "import voikit.cli",
+            "simulate", "vistool", "evppi so", "evppi sad",
+        )
+    }
+    assert report == {"fit_rows": 400}

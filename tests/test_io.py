@@ -1,7 +1,11 @@
 """PSA CSV format: round trips and malformed-input diagnostics."""
 
+import csv
+
 import numpy as np
 import pytest
+
+import voikit.io as io_module
 
 from voikit import (
     LinearGaussianSpec,
@@ -141,3 +145,104 @@ def test_treatment_names_preserved(tmp_path):
     path = _write(tmp_path, "param:x,nb:placebo,nb:drug\n1,2,3\n4,5,6\n")
     sample = read_psa_csv(path)
     assert sample.treatment_names == ("placebo", "drug")
+
+
+def _read_cellwise(path):
+    """Reference reader: every row through csv and every cell through
+    ``float``, as read_psa_csv parsed data rows before its numpy fast
+    path.  Returns the data table for a header without format errors."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    if not rows:
+        raise PsaFormatError(f"{path}: no data rows")
+    width = len(header)
+    table = np.empty((len(rows), width), dtype=float)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise PsaFormatError(
+                f"{path}: row {i + 2} has {len(row)} cells, header has {width}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                table[i, j] = float(cell)
+            except ValueError:
+                raise PsaFormatError(
+                    f"{path}: row {i + 2}, column {header[j]!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+    if not np.all(np.isfinite(table)):
+        raise PsaFormatError(f"{path}: non-finite values in data")
+    return table
+
+
+_H = "param:x,nb:a,nb:b"
+_READ_CORPUS = {
+    "lf": f"{_H}\n1,2,3\n4,5,6\n",
+    "crlf": f"{_H}\r\n1,2,3\r\n4,5,6\r\n",
+    "cr": f"{_H}\r1,2,3\r4,5,6\r",
+    "no-final-newline": f"{_H}\n1,2,3\n4,5,6",
+    "blank-line-in-middle": f"{_H}\n1,2,3\n\n4,5,6\n",
+    "blank-crlf-line-in-middle": f"{_H}\r\n1,2,3\r\n\r\n4,5,6\r\n",
+    "trailing-blank-line": f"{_H}\n1,2,3\n4,5,6\n\n",
+    "leading-blank-line": f"{_H}\n\n1,2,3\n",
+    "only-blank-lines": f"{_H}\n\n\r\n",
+    "whitespace-line": f"{_H}\n1,2,3\n   \n",
+    "quoted-cell": f'{_H}\n"1",2,3\n4,5,6\n',
+    "quoted-comma": f'{_H}\n"1,5",2,3\n',
+    "quoted-newline": f'{_H}\n"1\n",2,3\n4,5,6\n',
+    "unterminated-quote": f'{_H}\n1,2,3\n4,5,"6\n',
+    "underscore": f"{_H}\n1_0,2,3\n4,5,6\n",
+    "hash-cell": f"{_H}\n1,#2,3\n",
+    "hash-line": f"{_H}\n1,2,3\n# note\n",
+    "ragged-short": f"{_H}\n1,2,3\n4,5\n",
+    "ragged-long": f"{_H}\n1,2,3,4\n",
+    "empty-cell": f"{_H}\n1,,3\n",
+    "nan": f"{_H}\n1,2,3\nnan,5,6\n",
+    "inf": f"{_H}\n1,-inf,3\n",
+    "signed-zero-and-subnormal": f"{_H}\n-0.0,5e-324,-5e-324\n0.0,1e-310,2.2250738585072014e-308\n",
+    "spelling": f"{_H}\n+.5,1E+2,5.\n 1 ,\t2,3e0 \n",
+    "hex": f"{_H}\n0x10,2,3\n",
+    "unicode-digit": f"{_H}\n١,2,3\n4,5,6\n",
+    "nul": f"{_H}\n1,2\x00,3\n",
+}
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on input without data
+@pytest.mark.parametrize("text", _READ_CORPUS.values(), ids=_READ_CORPUS.keys())
+def test_read_matches_cellwise_reference(tmp_path, text):
+    path = tmp_path / "psa.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = _read_cellwise(path)
+    except PsaFormatError as exc:
+        with pytest.raises(PsaFormatError) as info:
+            read_psa_csv(path)
+        assert str(info.value) == str(exc)
+        return
+    sample = read_psa_csv(path)
+    got = np.hstack([sample.params, sample.nb])
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\n", "\r"])
+def test_clean_file_skips_cell_loop(tmp_path, monkeypatch, line_end):
+    # finite doubles from random bits span the exponent range; their
+    # shortest reprs parse in numpy's one-call path bit for bit
+    bits = np.random.default_rng(4).integers(0, 2**64, size=(3000, 4), dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = np.where(np.isfinite(values), values, -0.0)
+    sample = PsaSample(param_names=("x", "y"), params=values[:, :2], nb=values[:, 2:])
+    path = tmp_path / "psa.csv"
+    write_psa_csv(path, sample)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", line_end.encode()))
+
+    def cell_loop(*args):
+        raise AssertionError("cell-level loop ran on a clean file")
+
+    monkeypatch.setattr(io_module, "_parse_cells", cell_loop)
+    back = read_psa_csv(path)
+    assert np.array_equal(back.params.view(np.uint64), sample.params.view(np.uint64))
+    assert np.array_equal(back.nb.view(np.uint64), sample.nb.view(np.uint64))

@@ -20,11 +20,28 @@ from voikit import (
     gp_evppi,
     linear_gaussian_oracle,
     regression_evppi,
+    so_evppi,
+    with_bootstrap,
 )
 
 from conftest import make_sample
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _replicate_index(sample, cfg):
+    """Maps a bootstrap resample of ``sample`` back to its replicate index."""
+    replicate_params = np.stack([
+        sample.params[
+            np.random.default_rng([cfg.seed, b]).integers(
+                0, sample.n_sims, size=sample.n_sims
+            )
+        ]
+        for b in range(cfg.n_replicates)
+    ])
+    return lambda s: int(
+        np.flatnonzero(np.all(s.params == replicate_params, axis=(1, 2)))[0]
+    )
 
 
 def _fit_with(fitted, method="GAM"):
@@ -139,6 +156,37 @@ class TestBootstrap:
         assert failures == 2
         assert values.size == 18
 
+        # with_bootstrap also counts the failures by exception class name,
+        # in name order, identically at any thread count
+        cfg = BootstrapConfig(20, seed=3)
+        replicate = _replicate_index(lin_sample, cfg)
+        raises = {
+            3: np.linalg.LinAlgError, 8: ValueError,
+            12: EstimationError, 17: ValueError,
+        }
+
+        def typed(s):
+            b = replicate(s)
+            if b in raises:
+                raise raises[b](f"synthetic failure on replicate {b}")
+            return so_evppi(s, 0, 20)
+
+        estimate = so_evppi(lin_sample, 0, 20)
+        diags = [
+            with_bootstrap(estimate, typed, lin_sample, cfg, n_threads).diagnostics
+            for n_threads in (1, 4)
+        ]
+        assert diags[0] == diags[1]
+        assert diags[0]["bootstrap_failures"] == 4
+        assert len(diags[0]["bootstrap_replicates"]) == 16
+        assert diags[0]["bootstrap_failure_types"] == {
+            "EstimationError": 1, "LinAlgError": 1, "ValueError": 2,
+        }
+        for diag in diags:  # dict equality ignores order; the JSON does not
+            assert list(diag["bootstrap_failure_types"]) == [
+                "EstimationError", "LinAlgError", "ValueError",
+            ]
+
     def test_excessive_failures_abort(self, lin_sample):
         def broken(s):
             raise EstimationError("always down")
@@ -158,20 +206,13 @@ class TestBootstrap:
     def test_abort_names_and_chains_first_failure(self, lin_sample):
         # replicates 0, 3 and 6 fail: 3 of 10 is over the 20% limit
         def three_in_ten(s):
-            b = int(np.flatnonzero(np.all(s.params == replicate_params, axis=(1, 2)))[0])
+            b = replicate(s)
             if b % 3 == 0 and b < 9:
                 raise ValueError(f"no luck on replicate {b}")
             return float(s.nb[:, 1].mean())
 
         cfg = BootstrapConfig(10, seed=4)
-        replicate_params = np.stack([
-            lin_sample.params[
-                np.random.default_rng([cfg.seed, b]).integers(
-                    0, lin_sample.n_sims, size=lin_sample.n_sims
-                )
-            ]
-            for b in range(cfg.n_replicates)
-        ])
+        replicate = _replicate_index(lin_sample, cfg)
         with pytest.raises(EstimationError) as info:
             bootstrap_estimates(three_in_ten, lin_sample, cfg, n_threads=2)
         message = str(info.value)
