@@ -24,7 +24,6 @@ from .io import PsaFormatError, read_psa_csv, write_psa_csv
 from .single_param import (
     BinPartition,
     CumsumCurve,
-    SegmentationVector,
     cumsum_curve,
     order_by_param,
     sad_evppi,
@@ -77,7 +76,6 @@ __all__ = [
     "write_psa_csv",
     "BinPartition",
     "CumsumCurve",
-    "SegmentationVector",
     "cumsum_curve",
     "order_by_param",
     "sad_evppi",

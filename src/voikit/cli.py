@@ -50,10 +50,6 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _load_sample(path: str, k: float) -> PsaSample:
-    return read_psa_csv(path, k=k)
-
-
 def _wtp(args) -> float:
     """``--k``, or the default willingness to pay when it was not given."""
     return DEFAULT_WTP if args.k is None else args.k
@@ -218,7 +214,7 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
 
 
 def cmd_evppi(args) -> int:
-    sample = _load_sample(args.file, k=_wtp(args))
+    sample = read_psa_csv(args.file, k=_wtp(args))
     names = _split_params(args.params)
     estimate, notes = _estimate_for_method(sample, args.method, names, args)
     payload = {
@@ -266,7 +262,7 @@ def _format_cell(cell: dict, decimals: int) -> str:
 
 
 def cmd_compare(args) -> int:
-    sample = _load_sample(args.file, k=_wtp(args))
+    sample = read_psa_csv(args.file, k=_wtp(args))
     model = _load_spec(args.model) if args.model else None
     notes: list[str] = []
     k = _sample_k(args.file, sample, args, notes)
@@ -335,7 +331,7 @@ def cmd_sweep(args) -> int:
         spec = _load_spec(args.model)
         sample = generate_psa(spec, args.sims, seed=args.seed, k=_wtp(args))
     else:
-        sample = _load_sample(args.file, k=_wtp(args))
+        sample = read_psa_csv(args.file, k=_wtp(args))
     if sample.effects is None:
         raise _UsageError(
             "sweep needs the effect/cost decomposition: an nb-only input fixes k, "
@@ -369,7 +365,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_vistool(args) -> int:
-    sample = _load_sample(args.file, k=args.k)
+    sample = read_psa_csv(args.file, k=args.k)
     p = sample.param_index(args.param)
     t, t_prime = args.treatments
     curve = cumsum_curve(sample, p, t, t_prime)

@@ -10,6 +10,7 @@ binning, regression smoothing, nested Monte Carlo) consumes the same
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -117,6 +118,49 @@ class ParamSubset:
         return tuple(i for i in range(n_params) if i not in chosen)
 
 
+class _ParamOrders:
+    """Stable sort order of each parameter column, computed once per column.
+
+    A sample drawn from a parent by nondecreasing rows (a bootstrap
+    replicate in row-index order) derives each order from the parent's in
+    O(S) instead of sorting: the parent's order with every row repeated by
+    its count.  That is exactly the stable argsort of the drawn column, ties
+    included, because the parent breaks ties by row index and the copies of
+    a row sit next to one another in row-index order.
+    """
+
+    def __init__(self, params: np.ndarray, parent: "_ParamOrders | None" = None,
+                 rows: np.ndarray | None = None):
+        self._params = params
+        self._parent = parent
+        self._rows = rows
+        self._orders: dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def get(self, p: int) -> np.ndarray:
+        with self._lock:  # one sort per column, even when threads share the sample
+            order = self._orders.get(p)
+            if order is None:
+                if self._parent is None:
+                    order = np.argsort(self._params[:, p], kind="stable")
+                else:
+                    order = self._derived(p)
+                order.flags.writeable = False
+                self._orders[p] = order
+        return order
+
+    def _derived(self, p: int) -> np.ndarray:
+        parent_order = self._parent.get(p)
+        counts = np.bincount(self._rows, minlength=parent_order.size)
+        # row of each parent row's first copy here, taken in the parent's order
+        first = (np.cumsum(counts) - counts)[parent_order]
+        repeats = counts[parent_order]
+        # the copies of one parent row are consecutive both in this sample and
+        # in its order, so position j holds first[g] + (j - start of group g)
+        shift = first - (np.cumsum(repeats) - repeats)
+        return np.repeat(shift, repeats) + np.arange(self._rows.size)
+
+
 @dataclass(frozen=True)
 class PsaSample:
     """Paired parameter draws and net-benefit draws from one PSA run.
@@ -126,6 +170,8 @@ class PsaSample:
     ``k * effects - costs`` for the stored willingness to pay, so the net
     benefit can be rebuilt at any other threshold without re-simulation.
     All arrays are frozen after construction; operations never mutate them.
+    The stable sort order of each parameter column is computed on first use
+    and kept (:meth:`param_order`).
     """
 
     param_names: tuple[str, ...]
@@ -135,6 +181,7 @@ class PsaSample:
     costs: np.ndarray | None = None
     k: float | None = None
     treatment_names: tuple[str, ...] | None = None
+    _orders: _ParamOrders = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = _as_matrix(self.params, "params")
@@ -154,6 +201,7 @@ class PsaSample:
         object.__setattr__(self, "param_names", tuple(str(n) for n in self.param_names))
         object.__setattr__(self, "params", _frozen(params))
         object.__setattr__(self, "nb", _frozen(nb))
+        object.__setattr__(self, "_orders", _ParamOrders(self.params))
 
         if (self.effects is None) != (self.costs is None):
             raise ValueError("effects and costs must be supplied together")
@@ -196,6 +244,15 @@ class PsaSample:
             raise ValueError(f"parameter index {p} out of range (P={self.n_params})")
         return self.params[:, p]
 
+    def param_order(self, p: int) -> np.ndarray:
+        """Read-only permutation putting column p in ascending order.
+
+        The sort is stable, so tied values keep their row order.  It is
+        computed once per column and shared by every caller.
+        """
+        self.param_column(p)
+        return self._orders.get(p)
+
     def param_index(self, name: str) -> int:
         try:
             return self.param_names.index(name)
@@ -205,9 +262,13 @@ class PsaSample:
             ) from None
 
     def take(self, rows: np.ndarray) -> "PsaSample":
-        """Row-subset (or resampled) copy, used by the bootstrap."""
+        """Row-subset (or resampled) copy, used by the bootstrap.
+
+        When ``rows`` is nondecreasing the copy derives its parameter orders
+        from this sample's in O(S) instead of sorting again.
+        """
         rows = np.asarray(rows, dtype=int)
-        return PsaSample(
+        out = PsaSample(
             param_names=self.param_names,
             params=self.params[rows],
             nb=self.nb[rows],
@@ -216,6 +277,9 @@ class PsaSample:
             k=self.k,
             treatment_names=self.treatment_names,
         )
+        if rows[0] >= 0 and np.all(rows[1:] >= rows[:-1]):
+            object.__setattr__(out, "_orders", _ParamOrders(out.params, self._orders, rows))
+        return out
 
     def at_wtp(self, k) -> "PsaSample":
         """Rebuild the sample at a different willingness to pay.
@@ -228,7 +292,7 @@ class PsaSample:
                 "needs the effect and cost matrices"
             )
         k = _wtp_value(k)
-        return PsaSample(
+        out = PsaSample(
             param_names=self.param_names,
             params=self.params,
             nb=build_nb(self.effects, self.costs, k),
@@ -237,6 +301,8 @@ class PsaSample:
             k=k,
             treatment_names=self.treatment_names,
         )
+        object.__setattr__(out, "_orders", self._orders)  # same params, same orders
+        return out
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,9 @@ def bootstrap_estimates(
 
     Each replicate's resampling indices come from a generator seeded with
     (seed, replicate index), so results are identical at any thread count.
+    The estimator sees the drawn rows in row-index order (only their counts
+    matter), which lets the replicate derive its parameter sort orders from
+    the sample's without sorting.
     A replicate where the estimator fails numerically (one of
     ``REPLICATE_FAILURES``) is skipped; any other exception is a bug and
     propagates.  More than 20% skipped replicates aborts, with the first
@@ -151,7 +154,9 @@ def bootstrap_estimates(
 
     def one(b: int) -> float | Exception:
         rng = np.random.default_rng([config.seed, b])
-        rows = rng.integers(0, sample.n_sims, size=sample.n_sims)
+        n = sample.n_sims
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows = np.repeat(np.arange(n), counts)  # the draw in row-index order
         try:
             out = estimator(sample.take(rows))
         except REPLICATE_FAILURES as exc:

@@ -27,7 +27,6 @@ from .psa import EvppiEstimate, PsaSample, incremental_nb
 
 __all__ = [
     "BinPartition",
-    "SegmentationVector",
     "CumsumCurve",
     "order_by_param",
     "so_evppi",
@@ -98,23 +97,6 @@ class BinPartition:
 
 
 @dataclass(frozen=True)
-class SegmentationVector:
-    """Strictly increasing parameter values at which the decision may flip."""
-
-    n_changes: int
-    cut_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n_changes != len(self.cut_values):
-            raise ValueError("n_changes must equal the number of cut values")
-        vals = self.cut_values
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError("cut values must be finite")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError(f"cut values must be strictly increasing, got {vals}")
-
-
-@dataclass(frozen=True)
 class CumsumCurve:
     """Plot-ready cumulative incremental net benefit along a parameter.
 
@@ -146,9 +128,11 @@ def order_by_param(sample: PsaSample, p: int) -> np.ndarray:
     """Permutation putting the rows of column p in ascending order.
 
     The sort is stable, so tied parameter values keep their original row
-    order.
+    order.  The sample computes it once per column and every caller shares
+    the read-only array; a bootstrap replicate derives it from its parent's
+    without sorting (:meth:`PsaSample.take`).
     """
-    return np.argsort(sample.param_column(p), kind="stable")
+    return sample.param_order(p)
 
 
 def _phi_diagnostics(phi_sorted: np.ndarray) -> dict:
@@ -243,9 +227,13 @@ def so_bias(
     means, sizes = _binned_stats(nb_ordered, partition)
     n_bins_eff, n_t = means.shape
 
+    # within-bin covariance, one product column per treatment pair: O(S)
+    # memory instead of an S x T x T tensor
     centered = nb_ordered - np.repeat(means, sizes, axis=0)
-    cross = centered[:, :, None] * centered[:, None, :]
-    cov = np.add.reduceat(cross, partition.offsets[:-1], axis=0)
+    cov = np.empty((n_bins_eff, n_t, n_t))
+    for i, j in zip(*np.triu_indices(n_t)):
+        pair = np.add.reduceat(centered[:, i] * centered[:, j], partition.offsets[:-1])
+        cov[:, i, j] = cov[:, j, i] = pair
     cov /= (sizes - 1)[:, None, None]
 
     # noise factor per bin: sqrt of the covariance of the bin MEAN vector
@@ -407,13 +395,6 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
         int(np.argmax(prefix[hi] - prefix[lo])) for lo, hi in zip(bounds, bounds[1:])
     ]
     return EvppiEstimate.clamped(value, "SAD", nb_scale, diagnostics=diag)
-
-
-def segmentation_vector(sample: PsaSample, p: int, cut_ranks) -> SegmentationVector:
-    """Validated segmentation vector for cut ranks found by :func:`sad_evppi`."""
-    phi_sorted = sample.param_column(p)[order_by_param(sample, p)]
-    values = tuple(float(phi_sorted[int(c)]) for c in cut_ranks)
-    return SegmentationVector(n_changes=len(values), cut_values=values)
 
 
 def cumsum_curve(sample: PsaSample, p: int, t: int, t_prime: int) -> CumsumCurve:

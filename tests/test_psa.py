@@ -236,6 +236,7 @@ class TestPsaSample:
         rebuilt = sample.at_wtp(250.0)
         assert np.array_equal(rebuilt.nb, 250.0 * effects - costs)
         assert rebuilt.k == 250.0
+        assert rebuilt.param_order(0) is sample.param_order(0)  # same params, one sort
 
     def test_param_index(self, lin_sample):
         assert lin_sample.param_index("psi") == 1

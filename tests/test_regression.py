@@ -30,12 +30,14 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _replicate_index(sample, cfg):
-    """Maps a bootstrap resample of ``sample`` back to its replicate index."""
+    """Maps a bootstrap resample of ``sample`` back to its replicate index.
+
+    Replicates hold their drawn rows in row-index order."""
     replicate_params = np.stack([
         sample.params[
-            np.random.default_rng([cfg.seed, b]).integers(
+            np.sort(np.random.default_rng([cfg.seed, b]).integers(
                 0, sample.n_sims, size=sample.n_sims
-            )
+            ))
         ]
         for b in range(cfg.n_replicates)
     ])

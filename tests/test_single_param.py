@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 
 from voikit import (
     BinPartition,
+    BootstrapConfig,
     CumsumCurve,
     LinearGaussianSpec,
     NonlinearToySpec,
     PsaSample,
-    SegmentationVector,
+    bootstrap_estimates,
     cumsum_curve,
     evpi,
     generate_psa,
@@ -25,7 +27,7 @@ from voikit import (
     so_evppi,
 )
 from voikit import single_param
-from voikit.single_param import BIN_GRID, _relative_prefix_sums, segmentation_vector
+from voikit.single_param import BIN_GRID, _relative_prefix_sums
 
 from conftest import make_sample
 
@@ -54,6 +56,93 @@ class TestOrderByParam:
         joined = sorted(zip(phi, nb[:, 0], nb[:, 1]), key=lambda r: r[0])
         assert np.allclose([r[1] for r in joined], nb[perm, 0])
         assert np.allclose([r[2] for r in joined], nb[perm, 1])
+
+    @pytest.mark.parametrize("column", ["tie-free", "rounded", "signed zero", "constant"])
+    def test_replicate_order_is_the_stable_argsort(self, column):
+        rng = np.random.default_rng(8)
+        n = 500
+        phi = {
+            "tie-free": rng.normal(size=n),
+            "rounded": np.round(rng.normal(size=n)),
+            "signed zero": rng.choice([-0.0, 0.0, -1.0, 1.0], size=n),
+            "constant": np.full(n, 2.5),
+        }[column]
+        sample = PsaSample(
+            ("phi", "other"), np.column_stack([phi, rng.normal(size=n)]),
+            nb=rng.normal(size=(n, 2)),
+        )
+        draws = rng.integers(0, n, size=n)
+        rows_list = [
+            np.sort(draws),                     # a bootstrap replicate
+            np.sort(draws[: n // 3]),           # shorter, still sorted
+            np.repeat(np.arange(n), 2),         # every row twice
+            draws,                              # draw order
+            draws[::-1][: n + 7 - n // 2],      # unsorted, other length
+            np.arange(-n, 0),                   # negative indices
+        ]
+        for rows in rows_list:
+            child = sample.take(rows)
+            grandchild = child.take(np.sort(rng.integers(0, child.n_sims, size=child.n_sims)))
+            for s in (child, grandchild):
+                for p in (0, 1):
+                    assert np.array_equal(
+                        order_by_param(s, p), np.argsort(s.params[:, p], kind="stable")
+                    )
+
+    def test_cached_order_is_read_only(self, lin_sample):
+        replicate = lin_sample.take(np.sort(np.random.default_rng(0).integers(0, 10_000, 10_000)))
+        for s in (lin_sample, replicate):
+            order = order_by_param(s, 0)
+            assert order is order_by_param(s, 0)
+            with pytest.raises(ValueError):
+                order[0] = 1
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 4])
+    def test_one_argsort_per_sample_and_column(self, monkeypatch, n_threads):
+        sample = generate_psa(LinearGaussianSpec(), 4_000, seed=12)
+        sorted_columns = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            sorted_columns.append(a.size)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        cfg = BootstrapConfig(8, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # provoke races between replicate threads
+        try:
+            # the replicates run first, so their threads race for the sample's sort
+            for p in (0, 1):
+                bootstrap_estimates(lambda s: so_evppi(s, p, 20), sample, cfg, n_threads)
+                bootstrap_estimates(lambda s: sad_evppi(s, p, 1), sample, cfg, n_threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for p in (0, 1):
+            n_bins, _ = so_choose_bins(sample, p, n_mc=50)
+            so_evppi(sample, p, n_bins)
+            sad_evppi(sample, p, 2)
+            cumsum_curve(sample, p, 1, 0)
+        assert sorted_columns == [4_000, 4_000]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_replicates_match_draw_order_resamples(self, seed):
+        # tie-free columns: the order within duplicated rows cannot matter,
+        # so the replicate values are the old draw-order ones, bit for bit
+        sample = generate_psa(LinearGaussianSpec(), 3_000, seed=seed)
+        cfg = BootstrapConfig(8, seed=seed)
+        draw_order = [
+            sample.take(np.random.default_rng([cfg.seed, b]).integers(0, 3_000, size=3_000))
+            for b in range(cfg.n_replicates)
+        ]
+        for p in (0, 1):
+            for estimator in (
+                lambda s: so_evppi(s, p, 30).value,
+                lambda s: sad_evppi(s, p, 1).value,
+                lambda s: sad_evppi(s, p, 2).value,
+            ):
+                values, _ = bootstrap_estimates(estimator, sample, cfg)
+                assert values.tolist() == [estimator(s) for s in draw_order]
 
 
 class TestBinPartition:
@@ -124,7 +213,50 @@ class TestSoEvppi:
         assert est.diagnostics["constant_param"] is True
 
 
+def _so_bias_tensor_reference(sample, p, n_bins, n_mc, seed):
+    """so_bias as it was first written, with the S x T x T cross tensor."""
+    partition = BinPartition.build(sample.n_sims, n_bins)
+    nb_ordered = sample.nb[np.argsort(sample.params[:, p], kind="stable")]
+    sizes = partition.sizes
+    means = np.add.reduceat(nb_ordered, partition.offsets[:-1], axis=0) / sizes[:, None]
+    centered = nb_ordered - np.repeat(means, sizes, axis=0)
+    cross = centered[:, :, None] * centered[:, None, :]
+    cov = np.add.reduceat(cross, partition.offsets[:-1], axis=0)
+    cov /= (sizes - 1)[:, None, None]
+    eigval, eigvec = np.linalg.eigh(cov / sizes[:, None, None])
+    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
+    true_max = means.max(axis=1)
+    rng = np.random.default_rng(seed)
+    n_bins_eff, n_t = means.shape
+    excess_sum = np.zeros(n_bins_eff)
+    chunk = max(1, int(2_000_000 // max(n_bins_eff * n_t, 1)))
+    done = 0
+    while done < n_mc:
+        take = min(chunk, n_mc - done)
+        draws = rng.standard_normal((take, n_bins_eff, n_t))
+        noise = np.einsum("cmt,mst->cms", draws, factor)
+        excess_sum += ((means + noise).max(axis=2) - true_max).sum(axis=0)
+        done += take
+    return max(0.0, float(sizes @ (excess_sum / n_mc) / sample.n_sims))
+
+
+def _many_treatment_sample(n, n_t, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(n)
+    nb = np.sin(np.outer(phi, np.arange(1, n_t + 1))) + rng.standard_normal((n, n_t))
+    nb[:, -1] = nb[:, 0] + 0.1 * nb[:, 1]  # correlated columns
+    return PsaSample(param_names=("x",), params=phi[:, None], nb=nb)
+
+
 class TestSoBias:
+    @pytest.mark.parametrize("n_t,n_bins", [(2, 1), (2, 7), (3, 50), (8, 4), (8, 200)])
+    def test_matches_cross_tensor_reference(self, n_t, n_bins):
+        sample = _many_treatment_sample(2_003, n_t, seed=n_t + n_bins)
+        for seed in (0, 9):
+            assert so_bias(sample, 0, n_bins, n_mc=400, seed=seed) == (
+                _so_bias_tensor_reference(sample, 0, n_bins, n_mc=400, seed=seed)
+            )
+
     def test_zero_within_bin_variance_gives_zero(self):
         nb = np.tile([[1.0, 3.0]], (30, 1))
         sample = make_sample(nb)
@@ -436,6 +568,11 @@ class TestSadEvppi:
             int(np.argmax(ordered[lo:hi].sum(axis=0))) for lo, hi in zip(bounds, bounds[1:])
         ]
         assert est.diagnostics["segment_treatments"] == expected
+        # each cut value is the parameter at its cut rank, inside the column's range
+        phi_sorted = np.sort(sample.params[:, 0])
+        cut_values = est.diagnostics["cut_values"]
+        assert cut_values == [phi_sorted[c] for c in est.diagnostics["cut_ranks"]]
+        assert phi_sorted[0] < min(cut_values) and max(cut_values) < phi_sorted[-1]
 
     @pytest.mark.parametrize("n_cuts", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -503,24 +640,6 @@ class TestSadEvppi:
         tiny = generate_psa(LinearGaussianSpec(), 3, seed=0)
         with pytest.raises(ValueError, match="more decision changes"):
             sad_evppi(tiny, 0, 3)
-
-    def test_segmentation_vector_from_cut_ranks(self):
-        sample = generate_psa(LinearGaussianSpec(), 200, seed=51)
-        est = sad_evppi(sample, 0, 1)
-        seg = segmentation_vector(sample, 0, est.diagnostics["cut_ranks"])
-        assert seg.n_changes == 1
-        phi = sample.params[:, 0]
-        assert phi.min() < seg.cut_values[0] < phi.max()
-
-
-class TestSegmentationVector:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SegmentationVector(2, (1.0, 1.0))
-
-    def test_count_must_match(self):
-        with pytest.raises(ValueError, match="n_changes"):
-            SegmentationVector(2, (1.0,))
 
 
 class TestCumsumCurve:
