@@ -16,7 +16,6 @@ from .psa import (
     PsaSample,
     WillingnessToPay,
     build_nb,
-    current_optimum,
     evpi,
     incremental_nb,
 )
@@ -44,7 +43,7 @@ from .regression import (
     regression_evppi,
     with_bootstrap,
 )
-from .nested_mc import GenerativeModel, current_info_mc, nested_mc_evppi
+from .nested_mc import GenerativeModel, nested_mc_evppi
 from .models import (
     DEFAULT_WTP,
     LinearGaussianModel,
@@ -68,7 +67,6 @@ __all__ = [
     "PsaSample",
     "WillingnessToPay",
     "build_nb",
-    "current_optimum",
     "evpi",
     "incremental_nb",
     "PsaFormatError",
@@ -95,7 +93,6 @@ __all__ = [
     "regression_evppi",
     "with_bootstrap",
     "GenerativeModel",
-    "current_info_mc",
     "nested_mc_evppi",
     "DEFAULT_WTP",
     "LinearGaussianModel",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import PsaFormatError, read_psa_csv, write_psa_csv, write_provenance
+from .io import read_psa_csv, write_psa_csv, write_provenance
 from .models import (
     DEFAULT_WTP,
     LinearGaussianSpec,
@@ -100,10 +100,6 @@ def _load_spec(token: str):
         return spec_from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise _UsageError(f"cannot parse model spec {token}: {exc}") from exc
-
-
-def _subset_from_names(sample: PsaSample, names: list[str]) -> ParamSubset:
-    return ParamSubset.from_names(names, sample.param_names)
 
 
 def _split_params(raw: str) -> list[str]:
@@ -197,7 +193,7 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
             estimate, lambda s: sad_evppi(s, p, changes), sample, bootstrap, args.threads
         ), warnings_out
 
-    subset = _subset_from_names(sample, names)
+    subset = ParamSubset.from_names(names, sample.param_names)
     if method == "gam":
         return gam_evppi(
             sample,
@@ -270,7 +266,7 @@ def cmd_compare(args) -> int:
         notes.append(f"the nested-MC column uses --k {args.k:g}")
     subsets = [_split_params(chunk) for chunk in args.params.split(";")]
     for names in subsets:
-        _subset_from_names(sample, names)  # fail fast on unknown names
+        ParamSubset.from_names(names, sample.param_names)  # fail fast on unknown names
 
     methods = list(METHOD_ORDER) if model is not None else [
         m for m in METHOD_ORDER if m != "MC"
@@ -502,13 +498,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (_UsageError, PsaFormatError) as exc:
-        print(f"voikit: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"voikit: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
         print(f"voikit: error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

@@ -6,15 +6,16 @@ dimension), additive across dimensions.  For subsets of up to three
 parameters, pairwise tensor-product interactions on a reduced basis are
 added; larger subsets stay additive.  The roughness penalty is the exact
 integrated squared second derivative, whose null space contains all linear
-functions.  Each column gets its own smoothing parameter, chosen by
-generalized cross-validation (GCV).
+functions.  Each column gets its own smoothing parameter: the level with
+the lowest generalized cross-validation (GCV) score on one fixed log grid.
 
 The design and the penalty depend on the parameters only, so one call
 builds them once and fits every treatment column on them.  One generalized
 eigendecomposition (the Demmler-Reinsch form; Wood, *Generalized Additive
 Models*, 2nd ed., 2017, section 5.4) diagonalizes the normal equations at
 every smoothing level at once, so each GCV score costs O(p) for p basis
-functions instead of a Cholesky factorization.
+functions instead of a Cholesky factorization, and every column is scored
+on the whole grid in one array pass.
 
 scipy is imported inside the functions that call it, so importing voikit
 (and running a command that fits no spline) does not load it.
@@ -40,6 +41,9 @@ _DEGREE = 3
 # (bilinear functions) overlaps the main effects, and without it the
 # normal equations can be singular.
 _TENSOR_RIDGE = 1e-6
+
+# Smoothing levels: 20 per decade over 16 decades around the trace ratio.
+_N_GRID = 321
 
 _GAUSS_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
@@ -189,65 +193,35 @@ def _demmler_reinsch(xtx: np.ndarray, penalty: np.ndarray):
     # rounding noise where mu should be small.
     mu = np.einsum("ij,ij->j", vecs, xtx @ vecs)
     nu = np.einsum("ij,ij->j", vecs, penalty @ vecs)
-    grid = base * np.logspace(-8.0, 8.0, 33)
+    grid = base * np.logspace(-8.0, 8.0, _N_GRID)
     return grid, mu, nu, vecs
 
 
-def _gcv_score(lam, mu, nu, c2, yty, n_rows):
-    """GCV score, effective degrees of freedom and residual sum of squares
-    at smoothing level lam.
+def _gcv_grid(grid, mu, nu, c2, yty, n_rows):
+    """GCV scores (G x T), effective degrees of freedom (G) and residual
+    sums of squares (G x T) at every grid level for every column.
 
-    ``c2`` holds the squared spectral coordinates of X'y.  With
-    ``h = 1 / (mu + lam * nu)``: edf = sum mu h and
-    rss = y'y - sum c^2 h (2 - mu h).
+    ``c2`` holds the squared spectral coordinates of X'y, one column per
+    treatment.  With ``h = 1 / (mu + lam * nu)``: edf = sum mu h and
+    rss = y'y - sum c^2 h (2 - mu h).  A level scores inf where
+    ``xtx + lam * penalty`` is not positive definite or edf reaches n.
     """
-    diag = mu + lam * nu
-    if np.any(diag <= 0):  # xtx + lam * penalty is not positive definite
-        return np.inf, np.nan, np.nan
-    h = 1.0 / diag
+    diag = mu + grid[:, None] * nu
+    pos_def = np.all(diag > 0, axis=1)
+    h = np.divide(1.0, diag, out=np.zeros_like(diag), where=pos_def[:, None])
     mh = mu * h
-    edf = float(mh.sum())
-    rss = max(float(yty - c2 @ (h * (2.0 - mh))), 0.0)
+    edf = mh.sum(axis=1)
+    weights = h * (2.0 - mh)
+    # one matrix-vector product per column: a G x p by p x T product could
+    # round a column differently depending on how many columns come with it
+    fit = np.column_stack([weights @ col for col in c2.T])
+    rss = np.maximum(yty - fit, 0.0)
     denom = n_rows - edf
-    if denom <= 0:
-        return np.inf, edf, rss
-    return n_rows * rss / denom**2, edf, rss
-
-
-def _select_lambda(grid, mu, nu, c2, yty, n_rows):
-    """Grid search, then golden-section refinement in log(lam) around the
-    grid minimum.  Returns (lam, gcv, edf, rss, grid minimum at either end)."""
-
-    def score(log_lam):
-        return _gcv_score(math.exp(log_lam), mu, nu, c2, yty, n_rows)[0]
-
-    scores = [_gcv_score(lam, mu, nu, c2, yty, n_rows)[0] for lam in grid]
-    best = int(np.argmin(scores))
-    if not np.isfinite(scores[best]):
-        raise ValueError("penalized design is rank-deficient for every smoothing level")
-
-    lo = math.log(grid[max(best - 1, 0)])
-    hi = math.log(grid[min(best + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = score(c), score(d)
-    for _ in range(20):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = score(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = score(d)
-    lam = math.exp(0.5 * (a + b))
-    gcv, edf, rss = _gcv_score(lam, mu, nu, c2, yty, n_rows)
-    if not np.isfinite(gcv):
-        lam = grid[best]
-        gcv, edf, rss = _gcv_score(lam, mu, nu, c2, yty, n_rows)
-    return lam, gcv, edf, rss, best in (0, len(grid) - 1)
+    ok = pos_def & (denom > 0)
+    gcv = np.divide(
+        n_rows * rss, denom[:, None] ** 2, out=np.full_like(rss, np.inf), where=ok[:, None]
+    )
+    return gcv, edf, rss
 
 
 def _default_interactions(n_dims: int) -> bool:
@@ -280,7 +254,9 @@ def gam_fit_detail(
     one diagnostics record per column.
 
     The design, the penalty and their eigendecomposition are shared by all
-    columns; each column still gets its own GCV smoothing parameter.
+    columns; each column still gets its own GCV smoothing parameter, a
+    point of the grid (``lambda_at_grid_edge`` says it is the first or the
+    last one).
     ``interactions=None`` applies the default rule (pairwise tensor terms
     for 2-3 parameters, additive otherwise); pass True/False to override.
     """
@@ -298,22 +274,24 @@ def gam_fit_detail(
     yty = np.einsum("st,st->t", yc, yc)
     n_rows = sample.n_sims
 
-    shrink = np.empty_like(coords)
-    infos = []
-    for t in range(sample.n_treatments):
-        lam, gcv, edf, rss, at_edge = _select_lambda(
-            grid, mu, nu, c2[:, t], yty[t], n_rows
-        )
-        shrink[:, t] = 1.0 / (mu + lam * nu)
-        infos.append({
-            "lambda": float(lam),
-            "gcv": float(gcv),
-            "edf": float(edf),
+    gcv, edf, rss = _gcv_grid(grid, mu, nu, c2, yty, n_rows)
+    best = np.argmin(gcv, axis=0)
+    if not np.all(np.isfinite(gcv.min(axis=0))):
+        raise ValueError("penalized design is rank-deficient for every smoothing level")
+    lam = grid[best]
+    shrink = 1.0 / (mu[:, None] + lam * nu[:, None])
+    infos = [
+        {
+            "lambda": float(grid[b]),
+            "gcv": float(gcv[b, t]),
+            "edf": float(edf[b]),
             "n_columns": int(design.shape[1]),
             "interactions": bool(interactions),
-            "residual_var": float(rss / max(n_rows - edf, 1.0)),
-            "lambda_at_grid_edge": bool(at_edge),
-        })
+            "residual_var": float(rss[b, t] / max(n_rows - edf[b], 1.0)),
+            "lambda_at_grid_edge": bool(b in (0, grid.size - 1)),
+        }
+        for t, b in enumerate(best)
+    ]
     fitted = design @ (vecs @ (shrink * coords)) + y_mean
     return fitted, infos
 

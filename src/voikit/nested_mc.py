@@ -19,7 +19,7 @@ import numpy as np
 
 from .psa import EstimationError, EvppiEstimate, ParamSubset
 
-__all__ = ["GenerativeModel", "nested_mc_evppi", "current_info_mc"]
+__all__ = ["GenerativeModel", "nested_mc_evppi"]
 
 
 class GenerativeModel(Protocol):
@@ -98,24 +98,3 @@ def nested_mc_evppi(
     return EvppiEstimate.clamped(
         value, "MC", nb_scale=nb_scale, std_error=se, diagnostics=diag
     )
-
-
-def current_info_mc(
-    model: GenerativeModel, k: float, n: int, seed: int = 0
-) -> tuple[float, float]:
-    """Best expected net benefit under current uncertainty, by plain MC.
-
-    Returns the winning column's mean and its Monte Carlo standard error.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 draws, got {n}")
-    rng = np.random.default_rng(seed)
-    try:
-        theta = model.sample_joint(n, rng)
-        nb = np.atleast_2d(model.net_benefit(theta, k))
-    except Exception as exc:
-        raise EstimationError(f"model evaluation failed: {exc}") from exc
-    means = nb.mean(axis=0)
-    best = int(np.argmax(means))
-    se = float(np.std(nb[:, best], ddof=1) / math.sqrt(n))
-    return float(means[best]), se

@@ -25,7 +25,6 @@ __all__ = [
     "build_nb",
     "evpi",
     "incremental_nb",
-    "current_optimum",
 ]
 
 # Relative slack used for "estimate >= 0" checks: tiny negatives produced by
@@ -111,11 +110,6 @@ class ParamSubset:
         bad = [i for i in self.indices if i >= n_params]
         if bad:
             raise ValueError(f"subset indices {bad} out of range for {n_params} parameters")
-
-    def complement(self, n_params: int) -> tuple[int, ...]:
-        self.validate_against(n_params)
-        chosen = set(self.indices)
-        return tuple(i for i in range(n_params) if i not in chosen)
 
 
 class _ParamOrders:
@@ -414,15 +408,3 @@ def incremental_nb(nb, t: int, t_prime: int) -> np.ndarray:
     if t == t_prime:
         raise ValueError(f"treatment indices must differ, got t=t'={t}")
     return nb[:, t] - nb[:, t_prime]
-
-
-def current_optimum(nb) -> tuple[int, float]:
-    """Treatment with the highest mean net benefit and that mean.
-
-    Ties are broken by the lowest treatment index so reports are
-    reproducible.
-    """
-    nb = _as_matrix(nb, "nb")
-    means = nb.mean(axis=0)
-    idx = int(np.argmax(means))
-    return idx, float(means[idx])

@@ -12,7 +12,8 @@ net-benefit rows):
   size-weighted sum of per-segment best mean net benefit.  D is the
   number of times the decision is believed to change and must be supplied
   by the analyst; the cumulative-sum curve below is the supporting visual.
-  The search is exact and costs O(D S T) for S rows and T treatments.
+  Cuts fall only between distinct parameter values.  The search is exact
+  and costs O(D S T) for S rows and T treatments.
 """
 
 from __future__ import annotations
@@ -135,11 +136,13 @@ def order_by_param(sample: PsaSample, p: int) -> np.ndarray:
     return sample.param_order(p)
 
 
-def _phi_diagnostics(phi_sorted: np.ndarray) -> dict:
-    """Tie and constancy flags of a parameter column already in ascending
-    order, so distinct values are counted without another sort."""
-    n_unique = 1 + int(np.count_nonzero(phi_sorted[1:] != phi_sorted[:-1]))
-    tie_fraction = 1.0 - n_unique / phi_sorted.size
+def _phi_diagnostics(tied: np.ndarray) -> dict:
+    """Tie and constancy flags of a parameter column from its tie mask:
+    ``tied[j]`` says ranks j and j+1 of the ascending column hold equal
+    values, so distinct values are counted without another sort."""
+    n_rows = tied.size + 1
+    n_unique = n_rows - int(np.count_nonzero(tied))
+    tie_fraction = 1.0 - n_unique / n_rows
     diag: dict = {"tie_fraction": float(tie_fraction)}
     if n_unique == 1:
         diag["constant_param"] = True
@@ -183,12 +186,13 @@ def so_evppi(sample: PsaSample, p: int, n_bins: int) -> EvppiEstimate:
     means, sizes = _binned_stats(sample.nb[perm], partition)
     first, col_means = _weighted_terms(means, sizes, sample.n_sims)
     value = first - float(col_means.max())
+    phi_sorted = sample.param_column(p)[perm]
 
     diag = {
         "bins": int(n_bins),
         "bin_size": partition.bin_size,
         "bin_argmax": means.argmax(axis=1).tolist(),
-        **_phi_diagnostics(sample.param_column(p)[perm]),
+        **_phi_diagnostics(phi_sorted[1:] == phi_sorted[:-1]),
     }
     return EvppiEstimate.clamped(
         value, "SO", nb_scale=float(np.max(np.abs(sample.nb))), diagnostics=diag
@@ -308,8 +312,11 @@ def _relative_prefix_sums(nb_ordered: np.ndarray) -> np.ndarray:
     return prefix - prefix[:, t_star : t_star + 1]
 
 
-def _best_cuts(prefix: np.ndarray, n_cuts: int) -> tuple[float, list[int]]:
-    """Exact maximiser over all segmentations with ``n_cuts`` cuts.
+def _best_cuts(
+    prefix: np.ndarray, n_cuts: int, tied: np.ndarray
+) -> tuple[float, list[int]]:
+    """Exact maximiser over all segmentations with ``n_cuts`` cuts, each
+    between two distinct parameter values.
 
     ``g_d[j]`` is the best total of per-segment maxima of summed net
     benefit when the first j ordered rows form d segments.  The maximum
@@ -322,15 +329,21 @@ def _best_cuts(prefix: np.ndarray, n_cuts: int) -> tuple[float, list[int]]:
     j=S only; it and every backtracking step use the direct form
     ``max_i g[i] + max_t (P_t[j] - P_t[i])``, with ties going to the
     leftmost cut.
+
+    ``tied[j-1]`` marks rank j as lying inside a run of equal parameter
+    values.  No segment may end there, in any layer: a cut there would
+    split the tie by row order, which the sample does not define.
     """
     n_rows = prefix.shape[0] - 1
+    closed = np.concatenate([[True], tied, [False]])  # rank 0: no rows yet
     g = prefix.max(axis=1)
-    g[0] = -np.inf  # zero rows cannot form a segment
+    g[closed] = -np.inf
     layers = [g]
     for _ in range(n_cuts - 1):
         run = np.maximum.accumulate(g[:, None] - prefix, axis=0)
         g = np.full(n_rows + 1, -np.inf)
         g[1:] = (prefix[1:] + run[:-1]).max(axis=1)
+        g[closed] = -np.inf
         layers.append(g)
 
     best = None
@@ -351,11 +364,13 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
 
     ``n_changes`` is the number of decision changes the analyst attributes
     to the parameter (read off the cumulative-sum curve); the search places
-    that many cuts between consecutive ranks to maximise the size-weighted
-    sum of per-segment best mean net benefit, then subtracts the overall
-    best mean.  Zero changes declare the parameter non-influential, which
-    pins the estimate at zero.  Capped at three cuts; beyond that the
-    estimator's premise (a handful of decision changes) is broken anyway.
+    that many cuts between consecutive distinct parameter values (never
+    inside a tie) to maximise the size-weighted sum of per-segment best
+    mean net benefit, then subtracts the overall best mean.  Zero changes
+    declare the parameter non-influential, which pins the estimate at zero.
+    Capped at three cuts; beyond that the estimator's premise (a handful of
+    decision changes) is broken anyway.  D cuts need more than D distinct
+    parameter values.
 
     ``segment_treatments`` in the diagnostics names the best treatment of
     each of the D+1 segments (lowest index on ties).  A cut whose two
@@ -370,12 +385,16 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
         raise ValueError(
             f"segmentation search is capped at 3 decision changes, got {n_changes}"
         )
-    if n_changes >= sample.n_sims:
-        raise ValueError("more decision changes than simulation rows")
 
     perm = order_by_param(sample, p)
     phi_sorted = sample.param_column(p)[perm]
-    diag: dict = {"changes": int(n_changes), **_phi_diagnostics(phi_sorted)}
+    tied = phi_sorted[1:] == phi_sorted[:-1]
+    n_distinct = sample.n_sims - int(np.count_nonzero(tied))
+    if n_changes >= n_distinct:
+        raise ValueError(
+            f"more decision changes than {n_distinct} distinct parameter values allow"
+        )
+    diag: dict = {"changes": int(n_changes), **_phi_diagnostics(tied)}
     nb_scale = float(np.max(np.abs(sample.nb)))
 
     if n_changes == 0:
@@ -385,7 +404,7 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
         return EvppiEstimate.clamped(0.0, "SAD", nb_scale, diagnostics=diag)
 
     prefix = _relative_prefix_sums(sample.nb[perm])
-    best, cut_ranks = _best_cuts(prefix, n_changes)
+    best, cut_ranks = _best_cuts(prefix, n_changes, tied)
     value = best / sample.n_sims
 
     bounds = [0, *cut_ranks, sample.n_sims]

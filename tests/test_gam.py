@@ -160,10 +160,10 @@ def test_spectral_gcv_matches_cholesky_reference(subset, interactions):
         sample, ParamSubset(subset), 1, interactions
     )
     grid, mu, nu, vecs = gam._demmler_reinsch(xtx, penalty)
-    c2 = (vecs.T @ xty) ** 2
-    base = grid[16]
-    for lam in grid:
-        score, edf, _ = gam._gcv_score(lam, mu, nu, c2, yty, sample.n_sims)
+    c2 = (vecs.T @ xty)[:, None] ** 2
+    scores, edfs, _ = gam._gcv_grid(grid, mu, nu, c2, np.array([yty]), sample.n_sims)
+    base = np.trace(xtx) / np.trace(penalty)
+    for lam, score, edf in zip(grid, scores[:, 0], edfs):
         ref_score, ref_edf = _cholesky_gcv(lam, xtx, penalty, xty, yty, sample.n_sims)
         assert score == pytest.approx(ref_score, rel=1e-9, abs=0)
         # Above lam = base * 1e6 the reference's own rounding error grows
@@ -246,13 +246,12 @@ def test_fitted_values_match_cholesky_solve_at_chosen_lambda():
 
 
 def _reference_grid_argmin(sample, subset, t):
+    """Index of the lowest Cholesky GCV score on the module's grid, and the
+    grid."""
     _, penalty, xtx, xty, yty = _normal_equations(sample, subset, t)
-    base = np.trace(xtx) / np.trace(penalty)
-    scores = [
-        _cholesky_gcv(lam, xtx, penalty, xty, yty, sample.n_sims)[0]
-        for lam in base * np.logspace(-8.0, 8.0, 33)
-    ]
-    return int(np.argmin(scores))
+    grid = gam._demmler_reinsch(xtx, penalty)[0]
+    scores = [_cholesky_gcv(lam, xtx, penalty, xty, yty, sample.n_sims)[0] for lam in grid]
+    return int(np.argmin(scores)), grid
 
 
 def test_lambda_at_grid_edge_on_pure_noise():
@@ -264,7 +263,8 @@ def test_lambda_at_grid_edge_on_pure_noise():
     )
     _, infos = gam_fit_detail(sample, ParamSubset.of(0))
     for t, info in enumerate(infos):
-        assert _reference_grid_argmin(sample, ParamSubset.of(0), t) == 32
+        best, grid = _reference_grid_argmin(sample, ParamSubset.of(0), t)
+        assert best == grid.size - 1
         assert info["lambda_at_grid_edge"] is True
         assert info["edf"] == pytest.approx(2.0, abs=1e-6)
 
@@ -279,8 +279,8 @@ def test_lambda_at_grid_edge_on_linear_gaussian(lin_sample):
         for t, info in enumerate(infos):
             if np.ptp(sample.nb[:, t]) == 0:
                 continue  # every score is 0: the argmin is a tie
-            best = _reference_grid_argmin(sample, subset, t)
-            assert info["lambda_at_grid_edge"] is (best in (0, 32)), (t, best)
+            best, grid = _reference_grid_argmin(sample, subset, t)
+            assert info["lambda_at_grid_edge"] is (best in (0, grid.size - 1)), (t, best)
 
 
 def test_lambda_inside_grid_for_curved_response():
@@ -290,3 +290,13 @@ def test_lambda_inside_grid_for_curved_response():
     _, infos = gam_fit_detail(make_sample(nb, phi=x), ParamSubset.of(0))
     assert infos[1]["lambda_at_grid_edge"] is False
     assert infos[1]["edf"] > 3.0
+
+
+@pytest.mark.parametrize("subset", [(0,), (1,), (0, 1)])
+def test_lambda_is_the_grid_argmin_of_the_cholesky_reference(subset):
+    sample = _noisy_linear_gaussian(2_000, seed=9)
+    _, infos = gam_fit_detail(sample, ParamSubset(subset))
+    for t, info in enumerate(infos):
+        best, grid = _reference_grid_argmin(sample, ParamSubset(subset), t)
+        assert info["lambda"] == grid[best], (t, best)
+        assert info["lambda_at_grid_edge"] is (best in (0, grid.size - 1))

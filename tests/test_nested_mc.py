@@ -8,9 +8,7 @@ import pytest
 from voikit import (
     EstimationError,
     LinearGaussianModel,
-    LinearGaussianSpec,
     ParamSubset,
-    current_info_mc,
     evpi,
     generate_psa,
     linear_gaussian_oracle,
@@ -121,32 +119,3 @@ def test_size_validation(lin_spec):
         nested_mc_evppi(model, ParamSubset.of(0), 0.0, 1, 10)
     with pytest.raises(ValueError, match="inner"):
         nested_mc_evppi(model, ParamSubset.of(0), 0.0, 10, 0)
-
-
-class TestCurrentInfoMc:
-    def test_deterministic_model_exact_with_zero_se(self):
-        value, se = current_info_mc(_DegenerateModel(), 0.0, 100, seed=1)
-        assert value == 3.0
-        assert se == 0.0
-
-    def test_linear_gaussian_tied_arms(self):
-        # a = 0 puts both arms at equal expectation; the winning arm's SE
-        # reflects the incremental-arm spread sqrt(b^2 + c^2) = sqrt(2)
-        spec = LinearGaussianSpec(a=0.0, b=1.0, c=1.0)
-        n = 20_000
-        value, se = current_info_mc(LinearGaussianModel(spec), 0.0, n, seed=12)
-        assert abs(value) < 4 * math.sqrt(2.0) / math.sqrt(n)
-        if value > 0:  # arm 1 won this seed; its spread is known
-            assert se == pytest.approx(math.sqrt(2.0) / math.sqrt(n), rel=0.05)
-
-    def test_value_stable_across_seeds(self):
-        spec = LinearGaussianSpec(a=0.5)
-        model = LinearGaussianModel(spec)
-        n = 2_000
-        values = [current_info_mc(model, 0.0, n, seed=s) for s in range(20)]
-        for value, se in values:
-            assert abs(value - 0.5) <= 4 * se
-
-    def test_minimum_size(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            current_info_mc(_DegenerateModel(), 0.0, 1)

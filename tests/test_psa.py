@@ -1,4 +1,4 @@
-"""Core data model: net benefit, EVPI, optimum, and the estimate record."""
+"""Core data model: net benefit, EVPI, parameter subsets, and the estimate record."""
 
 import math
 
@@ -15,7 +15,6 @@ from voikit import (
     PsaSample,
     WillingnessToPay,
     build_nb,
-    current_optimum,
     evpi,
     generate_psa,
     incremental_nb,
@@ -124,30 +123,6 @@ class TestIncrementalNb:
         )
 
 
-class TestCurrentOptimum:
-    def test_tie_broken_by_lowest_index(self):
-        col = np.array([1.0, 2.0])
-        idx, val = current_optimum(np.column_stack([col, col]))
-        assert idx == 0 and val == pytest.approx(1.5)
-
-    def test_column_means(self):
-        idx, val = current_optimum(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert (idx, val) == (1, pytest.approx(3.0))
-
-    def test_constant_shift_moves_value_not_index(self):
-        nb = np.random.default_rng(3).normal(size=(50, 3))
-        idx, val = current_optimum(nb)
-        idx2, val2 = current_optimum(nb + 123.0)
-        assert idx2 == idx
-        assert val2 == pytest.approx(val + 123.0)
-
-    def test_positive_affine_keeps_index(self):
-        nb = np.random.default_rng(4).normal(size=(40, 4))
-        idx, _ = current_optimum(nb)
-        idx2, _ = current_optimum(2.5 * nb + 7.0)
-        assert idx2 == idx
-
-
 class TestWillingnessToPay:
     @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     def test_invalid(self, bad):
@@ -174,9 +149,6 @@ class TestParamSubset:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             ParamSubset.from_names(["zzz"], ["a", "b"])
-
-    def test_complement(self):
-        assert ParamSubset.of(1).complement(3) == (0, 2)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -632,6 +632,42 @@ class TestSadEvppi:
         for d in range(4):
             assert sad_evppi(sample, 0, d).value == 0.0
 
+    @pytest.mark.parametrize("n_cuts", [1, 2, 3])
+    def test_row_order_within_ties_does_not_matter(self, n_cuts):
+        # about 60 distinct values over 3000 rows: every cut would fall
+        # inside a tie if it were allowed to
+        base = generate_psa(LinearGaussianSpec(a=-0.3), 3_000, seed=14)
+        sample = PsaSample(
+            base.param_names,
+            np.column_stack([np.round(base.params[:, 0], 1), base.params[:, 1]]),
+            nb=base.nb,
+        )
+        est = sad_evppi(sample, 0, n_cuts)
+        phi_sorted = np.sort(sample.params[:, 0])
+        for c in est.diagnostics["cut_ranks"]:
+            assert phi_sorted[c - 1] < phi_sorted[c]
+        for seed in range(3):
+            shuffled = sample.take(np.random.default_rng(seed).permutation(3_000))
+            other = sad_evppi(shuffled, 0, n_cuts)
+            # the same rows, summed in another order within each tie
+            assert other.value == pytest.approx(est.value, rel=1e-12)
+            assert other.diagnostics["cut_values"] == est.diagnostics["cut_values"]
+            assert other.diagnostics["cut_ranks"] == est.diagnostics["cut_ranks"]
+
+    def test_cuts_need_distinct_values(self):
+        nb = np.random.default_rng(15).normal(size=(40, 2))
+        constant = make_sample(nb, phi=np.full(40, 2.5))
+        with pytest.raises(ValueError, match="1 distinct parameter values"):
+            sad_evppi(constant, 0, 1)
+        with pytest.warns(UserWarning, match="constant"):
+            assert sad_evppi(constant, 0, 0).value == 0.0
+        two_levels = make_sample(nb, phi=np.arange(40) % 2)
+        est = sad_evppi(two_levels, 0, 1)
+        assert est.diagnostics["cut_ranks"] == [20]
+        assert est.diagnostics["cut_values"] == [1.0]
+        with pytest.raises(ValueError, match="2 distinct parameter values"):
+            sad_evppi(two_levels, 0, 2)
+
     def test_cut_count_validation(self, lin_sample):
         with pytest.raises(ValueError, match="capped at 3"):
             sad_evppi(lin_sample, 0, 4)
