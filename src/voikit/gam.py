@@ -256,7 +256,9 @@ def gam_fit_detail(
     The design, the penalty and their eigendecomposition are shared by all
     columns; each column still gets its own GCV smoothing parameter, a
     point of the grid (``lambda_at_grid_edge`` says it is the first or the
-    last one).
+    last one).  A constant column is fitted by its mean; like GP's, its
+    record says ``constant_response`` with ``residual_var`` 0 and names no
+    smoothing level, edf or GCV score.
     ``interactions=None`` applies the default rule (pairwise tensor terms
     for 2-3 parameters, additive otherwise); pass True/False to override.
     """
@@ -280,13 +282,19 @@ def gam_fit_detail(
         raise ValueError("penalized design is rank-deficient for every smoothing level")
     lam = grid[best]
     shrink = 1.0 / (mu[:, None] + lam * nu[:, None])
+    design_info = {
+        "n_columns": int(design.shape[1]),
+        "interactions": bool(interactions),
+    }
+    # a constant column scores 0 at every level, so its argmin chose nothing
     infos = [
-        {
+        {"constant_response": True, **design_info, "residual_var": 0.0}
+        if yty[t] == 0
+        else {
             "lambda": float(grid[b]),
             "gcv": float(gcv[b, t]),
             "edf": float(edf[b]),
-            "n_columns": int(design.shape[1]),
-            "interactions": bool(interactions),
+            **design_info,
             "residual_var": float(rss[b, t] / max(n_rows - edf[b], 1.0)),
             "lambda_at_grid_edge": bool(b in (0, grid.size - 1)),
         }

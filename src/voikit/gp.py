@@ -4,11 +4,20 @@ Zero-mean GP on standardized inputs and centered response with a
 squared-exponential kernel (one length scale per dimension) and a nugget
 absorbing the conditional-expectation residual.  Hyperparameters maximise
 the exact log marginal likelihood on a seeded subsample of at most 500
-rows, which bounds the cubic factorisation cost; the posterior mean at all
-S inputs then treats that subsample as an inducing set (subset-of-
-regressors), so every row still informs the fit through the projected
-cross-covariances.  When S is at most the subsample size this reduces to
-the exact GP posterior mean.
+rows, which bounds the cubic factorisation cost.
+
+The posterior mean at all S inputs is a subset-of-regressors fit, so every
+row informs it through its cross-covariances with a set of inducing
+points.  Those are the subsample rows that a pivoted Cholesky factorisation
+of their kernel matrix (LAPACK ``dpstrf``; Harbrecht, Peters & Schneider,
+*Appl. Numer. Math.* 62, 2012) takes before every remaining Schur-complement
+variance falls to ``JITTER_FACTOR`` times the signal variance.  The rows it
+leaves, duplicates among them, lie within that floor of the span of the
+kept ones, so a smooth kernel keeps far fewer than 500.  When S is at most
+the subsample size the result is the exact GP posterior mean up to that
+floor.  The fit then makes two passes over the rows in blocks of
+``_PREDICT_CHUNK``: one sums the projected cross-covariances, the other
+predicts, so memory stays bounded in S.
 
 The marginal-likelihood objective is evaluated a few hundred times per
 fit, so it reuses preallocated buffers and in-place LAPACK calls instead
@@ -33,7 +42,7 @@ __all__ = ["GpHyperparameters", "gp_fit_detail"]
 N_HYPER_ROWS = 500
 N_RESTARTS = 5
 JITTER_FACTOR = 1e-8
-_PREDICT_CHUNK = 20_000
+_PREDICT_CHUNK = 4096
 
 # The length-scale floor (standardized-input units) excludes the degenerate
 # maximum-likelihood mode that memorises noise at the inducing points; the
@@ -233,45 +242,37 @@ def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, rng: np.random.Generator)
 def _posterior_mean(
     x_all: np.ndarray,
     y: np.ndarray,
-    inducing: np.ndarray,
+    subsample: np.ndarray,
     ls: np.ndarray,
     sf2: float,
     sn2: float,
-) -> np.ndarray:
-    """Subset-of-regressors posterior mean at all rows.
-
-    With the inducing set equal to the full input set this is exactly the
-    GP posterior mean.  Cross-covariances are processed in row chunks so
-    memory stays bounded for very large samples.
+) -> tuple[np.ndarray, int]:
+    """Subset-of-regressors posterior mean at all rows, and the number of
+    subsample rows the pivoted Cholesky kept as inducing points (see the
+    module docstring).
     """
-    from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
     from scipy.linalg.blas import dsyrk
+    from scipy.linalg.lapack import dpstrf
 
     n_rows = x_all.shape[0]
-    m = inducing.size
-    x_ind = x_all[inducing]
-    # symmetric matrices are passed as F-contiguous transposed views so the
-    # LAPACK calls run in place instead of copying
-    k_uu = _kernel(x_ind, x_ind, ls, sf2)
-    np.einsum("ii->i", k_uu)[...] += JITTER_FACTOR * sf2
-    l_uu = cholesky(k_uu.T, lower=True, overwrite_a=True, check_finite=False)
+    x_sub = x_all[subsample]
+    # the kernel matrix is symmetric, so its F-contiguous transpose is
+    # factored in place; info > 0 only reports the rank deficiency
+    k_uu = _kernel(x_sub, x_sub, ls, sf2)
+    c, piv, rank, _ = dpstrf(k_uu.T, tol=JITTER_FACTOR * sf2, lower=1, overwrite_a=1)
+    x_ind = x_sub[piv[:rank] - 1]
+    l_uu = np.tril(c[:rank, :rank])
 
-    def _v_chunk(start, stop):
-        # V = L^{-1} K_ux, solved in place
-        k_xu = _kernel(x_all[start:stop], x_ind, ls, sf2)
-        return solve_triangular(
-            l_uu, k_xu.T, lower=True, overwrite_b=True, check_finite=False
-        )
-
-    single = n_rows <= _PREDICT_CHUNK
-    vvt = np.empty((m, m), order="F")
-    vy = np.zeros(m)
-    kept_v = None
+    # V = L^{-1} K_ux, one r x chunk block at a time
+    vvt = np.empty((rank, rank), order="F")
+    vy = np.zeros(rank)
     for i, start in enumerate(range(0, n_rows, _PREDICT_CHUNK)):
         stop = min(start + _PREDICT_CHUNK, n_rows)
-        v = _v_chunk(start, stop)
-        if single:
-            kept_v = v
+        k_xu = _kernel(x_all[start:stop], x_ind, ls, sf2)
+        v = solve_triangular(
+            l_uu, k_xu.T, lower=True, overwrite_b=True, check_finite=False
+        )
         # lower triangle of sum V V^T; the factorization reads lower only
         vvt = dsyrk(1.0, v, beta=float(i > 0), c=vvt, overwrite_c=1, lower=1)
         vy += v @ y[start:stop]
@@ -281,14 +282,13 @@ def _posterior_mean(
         cho_factor(vvt, lower=True, overwrite_a=True, check_finite=False), vy
     )
 
-    # prediction at the sample rows: K_xu L^{-T} z = V^T z
-    if single:
-        return z @ kept_v
+    # prediction at the sample rows: K_xu L^{-T} z
+    weights = solve_triangular(l_uu, z, lower=True, trans="T", check_finite=False)
     out = np.empty(n_rows)
     for start in range(0, n_rows, _PREDICT_CHUNK):
         stop = min(start + _PREDICT_CHUNK, n_rows)
-        out[start:stop] = z @ _v_chunk(start, stop)
-    return out
+        out[start:stop] = _kernel(x_all[start:stop], x_ind, ls, sf2) @ weights
+    return out, rank
 
 
 def gp_fit_detail(
@@ -348,7 +348,7 @@ def gp_fit_detail(
         sf2 = hyperparameters.signal_var / y_sd**2
         sn2 = hyperparameters.noise_var / y_sd**2
 
-    fitted = _posterior_mean(x, y, subsample, ls, sf2, sn2)
+    fitted, n_inducing = _posterior_mean(x, y, subsample, ls, sf2, sn2)
     fitted = fitted * y_sd + y_mean
 
     info = {
@@ -358,7 +358,7 @@ def gp_fit_detail(
         "residual_var": float(sn2 * y_sd**2),
         "log_marginal_likelihood": lml_report,
         "n_hyper_rows": int(subsample.size),
-        "n_inducing": int(subsample.size),
+        "n_inducing": int(n_inducing),
         "fallback_median_heuristic": fallback,
     }
     return fitted, info

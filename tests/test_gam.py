@@ -17,6 +17,18 @@ def test_constant_column_reproduced_exactly():
     assert np.allclose(fitted, 7.5, rtol=0, atol=1e-9)
 
 
+def test_constant_column_claims_no_smoothing(lin_sample):
+    # the linear-Gaussian reference arm is all zeros: every smoothing level
+    # scores alike, so its record names none of them
+    fitted, infos = gam_fit_detail(lin_sample, ParamSubset.of(0, 1))
+    assert np.all(fitted[:, 0] == 0.0)
+    assert infos[0]["constant_response"] is True
+    assert infos[0]["residual_var"] == 0.0
+    assert not {"lambda", "edf", "gcv", "lambda_at_grid_edge"} & infos[0].keys()
+    assert infos[0]["interactions"] is infos[1]["interactions"] is True
+    assert infos[1]["edf"] > 1.0 and "constant_response" not in infos[1]
+
+
 def test_exactly_linear_response_reproduced():
     # linear functions live in the curvature penalty's null space, so a
     # noiseless linear response is reproduced at any smoothing level

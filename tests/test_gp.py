@@ -1,18 +1,22 @@
 """GP smoothing: posterior-mean algebra, limits, and fit oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from voikit import (
     GpHyperparameters,
     LinearGaussianSpec,
+    NonlinearToySpec,
     ParamSubset,
     PsaSample,
+    evpi,
     generate_psa,
     gp_fit_detail,
 )
-from voikit.gp import JITTER_FACTOR, _kernel
+from voikit.gp import JITTER_FACTOR, N_HYPER_ROWS, _kernel
 
 from conftest import make_sample
 
@@ -172,3 +176,91 @@ def test_reported_hyperparameters_in_response_units(lin_sample):
     assert 0.5 < info["noise_var"] < 2.0
     assert info["log_marginal_likelihood"] is not None
     assert info["n_hyper_rows"] == 500
+
+
+def _dense_subset_of_regressors(sample, subset, t, hp, seed):
+    """Posterior mean with every subsample row as an inducing point and
+    jitter on K_uu: V = L^-1 K_ux with L L' = K_uu + jitter, mean V' z with
+    (V V' + noise I) z = V y."""
+    y_raw = sample.nb[:, t]
+    phi = sample.params[:, list(subset.indices)]
+    x = (phi - phi.mean(axis=0)) / phi.std(axis=0)
+    y = (y_raw - y_raw.mean()) / y_raw.std()
+    perm = np.random.default_rng(seed).permutation(sample.n_sims)
+    sub = np.sort(perm[:N_HYPER_ROWS])
+    ls = np.asarray(hp.length_scales)
+    sf2 = hp.signal_var / y_raw.std() ** 2
+    sn2 = hp.noise_var / y_raw.std() ** 2
+    k_uu = _kernel_from_sq(_sq_diffs(x[sub], x[sub]), ls, sf2)
+    chol = cholesky(k_uu + JITTER_FACTOR * sf2 * np.eye(sub.size), lower=True)
+    k_ux = _kernel_from_sq(_sq_diffs(x[sub], x), ls, sf2)
+    v = solve_triangular(chol, k_ux, lower=True)
+    a = v @ v.T + max(sn2, 1e-10 * sf2) * np.eye(sub.size)
+    z = cho_solve(cho_factor(a, lower=True), v @ y)
+    return (z @ v) * y_raw.std() + y_raw.mean()
+
+
+@pytest.mark.parametrize("indices", [(1,), (0, 1), (0, 1, 2)])
+def test_pivoted_inducing_set_matches_dense_subset_of_regressors(indices):
+    # 1.5 is below the length scales the search settled on for these
+    # subsets at S = 5000 to 20000 (1.9 to 1000).  Much shorter ones (the
+    # search can run to the 0.05 floor) leave rows far from every inducing
+    # point, where the dense posterior itself moves by more than 1e-2 SD
+    # when its jitter changes tenfold, so it is no reference there.
+    sample = generate_psa(NonlinearToySpec(), 2_000, seed=4)
+    subset = ParamSubset(indices)
+    fitted = np.empty_like(sample.nb)
+    reference = np.empty_like(sample.nb)
+    for t in range(sample.n_treatments):
+        var = float(sample.nb[:, t].var())
+        hp = GpHyperparameters(
+            length_scales=(1.5,) * len(indices), signal_var=var, noise_var=0.2 * var
+        )
+        fitted[:, t], info = gp_fit_detail(
+            sample, subset, t, seed=6, hyperparameters=hp
+        )
+        assert info["n_inducing"] < info["n_hyper_rows"] == N_HYPER_ROWS
+        reference[:, t] = _dense_subset_of_regressors(sample, subset, t, hp, seed=6)
+        tol = 1e-2 * np.sqrt(var)
+        assert np.max(np.abs(fitted[:, t] - reference[:, t])) <= tol
+    assert evpi(fitted) == pytest.approx(evpi(reference), rel=1e-4)
+
+
+def test_duplicated_rows_add_no_inducing_points():
+    # with S and 2S below the subsample cap every row is a candidate; a
+    # copy of a kept row has no residual variance left to add
+    rng = np.random.default_rng(11)
+    n = 200
+    phi = rng.standard_normal(n)
+    sample = make_sample(np.column_stack([np.zeros(n), np.sin(3 * phi)]), phi=phi)
+    doubled = sample.take(np.repeat(np.arange(n), 2))
+    hp = GpHyperparameters(length_scales=(0.05,), signal_var=0.5, noise_var=0.05)
+    _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)
+    _, info2 = gp_fit_detail(doubled, ParamSubset.of(0), 1, hyperparameters=hp)
+    assert (info["n_hyper_rows"], info2["n_hyper_rows"]) == (n, 2 * n)
+    assert info2["n_inducing"] <= info["n_inducing"]
+
+
+def test_shorter_length_scale_keeps_more_inducing_points(lin_sample):
+    kept = {}
+    for ls in (1.0, 0.05):
+        hp = GpHyperparameters(length_scales=(ls,), signal_var=2.0, noise_var=1.0)
+        _, info = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, hyperparameters=hp)
+        assert info["n_hyper_rows"] == N_HYPER_ROWS
+        kept[ls] = info["n_inducing"]
+    assert 0 < kept[1.0] < kept[0.05] <= N_HYPER_ROWS
+
+
+@pytest.mark.parametrize("length_scale", [1.0, 0.05])
+def test_posterior_memory_bounded_at_large_sample(length_scale):
+    sample = generate_psa(LinearGaussianSpec(), 100_000, seed=2)
+    hp = GpHyperparameters(length_scales=(length_scale,), signal_var=2.0, noise_var=1.0)
+    warm = sample.take(np.arange(1_000))  # scipy imports stay out of the trace
+    gp_fit_detail(warm, ParamSubset.of(0), 1, hyperparameters=hp)
+    tracemalloc.start()
+    try:
+        gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6, f"peak {peak / 1e6:.1f} MB"
