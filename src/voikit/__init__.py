@@ -34,7 +34,6 @@ from .gam import gam_fit_detail
 from .gp import GpHyperparameters, gp_fit_detail
 from .regression import (
     BootstrapConfig,
-    RegressionFit,
     bootstrap_estimates,
     bootstrap_se,
     fit_regression,
@@ -84,7 +83,6 @@ __all__ = [
     "GpHyperparameters",
     "gp_fit_detail",
     "BootstrapConfig",
-    "RegressionFit",
     "bootstrap_estimates",
     "bootstrap_se",
     "fit_regression",

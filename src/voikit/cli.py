@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .models import (
     spec_to_dict,
 )
 from .nested_mc import nested_mc_evppi
-from .psa import EstimationError, EvppiEstimate, ParamSubset, PsaSample, evpi
+from .psa import EstimationError, ParamSubset, PsaSample, evpi
 from .regression import BootstrapConfig, gam_evppi, gp_evppi, with_bootstrap
 from .single_param import cumsum_curve, sad_evppi, so_choose_bins, so_evppi
 
@@ -165,13 +166,11 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
             )
         estimate = so_evppi(sample, p, n_bins)
         if chosen_bias is not None:
-            diag = dict(estimate.diagnostics)
-            diag["chosen_bias"] = chosen_bias
-            diag["bin_selection"] = "bias-threshold"
-            estimate = EvppiEstimate(
-                value=estimate.value, method=estimate.method,
-                std_error=estimate.std_error, diagnostics=diag,
-            )
+            estimate = replace(estimate, diagnostics={
+                **estimate.diagnostics,
+                "chosen_bias": chosen_bias,
+                "bin_selection": "bias-threshold",
+            })
         return with_bootstrap(
             estimate, lambda s: so_evppi(s, p, n_bins), sample, bootstrap, args.threads
         ), warnings_out
@@ -395,27 +394,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _add_common(p, bootstrap_default=0):
+def _add_common(p):
     p.add_argument("--k", type=float, default=None,
                    help="willingness to pay (default 20000); nb-only files "
                         "keep the k they were built at")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for bootstrap replicates; results are "
-                        "identical at any setting")
-    p.add_argument("--bootstrap", type=int, default=bootstrap_default,
-                   help="bootstrap replicates for standard errors (0 = skip)")
-    p.add_argument("--bins", type=int, default=None,
-                   help="bin count for the bin-averaging method (default: bias-guided)")
-    p.add_argument("--bias-threshold", type=float, default=0.1,
-                   help="upward-bias cap, in currency units, for automatic bin choice")
-    p.add_argument("--bias-threshold-relative", type=float, default=None,
-                   help="bias cap as a fraction of EVPI (overrides --bias-threshold)")
+    bins = p.add_mutually_exclusive_group()
+    bins.add_argument("--bins", type=int, default=None,
+                      help="bin count for the bin-averaging method (default: bias-guided)")
+    bins.add_argument("--bias-threshold", type=float, default=0.1,
+                      help="upward-bias cap, in currency units, for automatic bin choice")
+    bins.add_argument("--bias-threshold-relative", type=float, default=None,
+                      help="bias cap as a fraction of EVPI")
     p.add_argument("--changes", default=None,
                    help="decision changes for the segmentation method: a count, "
                         "or name=count pairs")
     p.add_argument("--interactions", choices=("auto", "none", "pairwise"),
                    default="auto", help="spline interaction structure")
+
+
+def _add_bootstrap(p, default):
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for bootstrap replicates; results are "
+                        "identical at any setting")
+    p.add_argument("--bootstrap", type=int, default=default,
+                   help="bootstrap replicates for standard errors (0 = skip)")
 
 
 def build_parser() -> _Parser:
@@ -428,6 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params", required=True,
                    help="comma-separated parameter names (single name for so/sad)")
     _add_common(p)
+    _add_bootstrap(p, default=0)
     p.set_defaults(func=cmd_evppi)
 
     p = sub.add_parser("compare", help="run all applicable methods side by side")
@@ -440,7 +444,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mc-inner", type=int, default=1000)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--decimals", type=int, choices=(1, 2), default=2)
-    _add_common(p, bootstrap_default=200)
+    _add_common(p)
+    _add_bootstrap(p, default=200)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="EVPI/EVPPI across willingness-to-pay values")
@@ -454,7 +459,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sims", type=int, default=10_000,
                    help="simulations when generating from a model spec")
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    # one estimate per grid point, without standard errors
+    p.set_defaults(func=cmd_sweep, bootstrap=0, threads=1)
 
     p = sub.add_parser("vistool", help="cumulative-sum curve data for one parameter")
     p.add_argument("--file", required=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psa import ParamSubset, PsaSample
+from .psa import ParamSubset, PsaSample, _standardized_params
 
 __all__ = ["gam_fit_detail", "MAX_GAM_DIMENSIONS"]
 
@@ -228,23 +228,6 @@ def _default_interactions(n_dims: int) -> bool:
     return 2 <= n_dims <= 3
 
 
-def _standardized_params(sample: PsaSample, subset: ParamSubset) -> np.ndarray:
-    subset.validate_against(sample.n_params)
-    if len(subset.indices) > MAX_GAM_DIMENSIONS:
-        raise ValueError(
-            f"spline regression is unstable beyond {MAX_GAM_DIMENSIONS} parameters; "
-            f"got {len(subset.indices)}"
-        )
-    phi = sample.params[:, list(subset.indices)]
-    sd = phi.std(axis=0)
-    if np.any(sd == 0):
-        bad = [sample.param_names[subset.indices[i]] for i in np.where(sd == 0)[0]]
-        raise ValueError(
-            f"constant parameter column(s) {bad}: the spline design is rank-deficient"
-        )
-    return (phi - phi.mean(axis=0)) / sd
-
-
 def gam_fit_detail(
     sample: PsaSample,
     subset: ParamSubset,
@@ -262,6 +245,11 @@ def gam_fit_detail(
     ``interactions=None`` applies the default rule (pairwise tensor terms
     for 2-3 parameters, additive otherwise); pass True/False to override.
     """
+    if len(subset.indices) > MAX_GAM_DIMENSIONS:
+        raise ValueError(
+            f"spline regression is unstable beyond {MAX_GAM_DIMENSIONS} parameters; "
+            f"got {len(subset.indices)}"
+        )
     phi = _standardized_params(sample, subset)
     if interactions is None:
         interactions = _default_interactions(phi.shape[1])

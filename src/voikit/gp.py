@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psa import ParamSubset, PsaSample
+from .psa import ParamSubset, PsaSample, _standardized_params
 
 __all__ = ["GpHyperparameters", "gp_fit_detail"]
 
@@ -43,6 +43,9 @@ N_HYPER_ROWS = 500
 N_RESTARTS = 5
 JITTER_FACTOR = 1e-8
 _PREDICT_CHUNK = 4096
+# Kernel exponents are clamped here: np.exp leaves its fast path below about
+# -708, and e^-700 (about 1e-304) is already nothing next to any other term.
+_MIN_EXPONENT = -700.0
 
 # The length-scale floor (standardized-input units) excludes the degenerate
 # maximum-likelihood mode that memorises noise at the inducing points; the
@@ -92,6 +95,7 @@ def _kernel(x1: np.ndarray, x2: np.ndarray, ls, sf2: float) -> np.ndarray:
         np.square(tmp, out=tmp)
         tmp *= -0.5 / ls[i] ** 2
         out += tmp
+    np.maximum(out, _MIN_EXPONENT, out=out)
     np.exp(out, out=out)
     out *= sf2
     return out
@@ -146,6 +150,7 @@ class _MarginalLikelihood:
         for i in range(1, d):
             np.multiply(self.sq[i], -0.5 / ls2[i], out=self._tmp)
             ks += self._tmp
+        np.maximum(ks, _MIN_EXPONENT, out=ks)
         np.exp(ks, out=ks)
         ks *= sf2
 
@@ -304,7 +309,7 @@ def gp_fit_detail(
     ``hyperparameters`` skips the marginal-likelihood search and fits with
     the given kernel.
     """
-    subset.validate_against(sample.n_params)
+    x = _standardized_params(sample, subset)
     if not 0 <= t < sample.n_treatments:
         raise ValueError(f"treatment index {t} out of range (T={sample.n_treatments})")
 
@@ -316,12 +321,6 @@ def gp_fit_detail(
         info = {"constant_response": True, "residual_var": 0.0}
         return np.full(n_rows, y_mean), info
 
-    phi = sample.params[:, list(subset.indices)]
-    sd = phi.std(axis=0)
-    if np.any(sd == 0):
-        bad = [sample.param_names[subset.indices[i]] for i in np.where(sd == 0)[0]]
-        raise ValueError(f"constant parameter column(s) {bad} carry no information")
-    x = (phi - phi.mean(axis=0)) / sd
     y = (y_raw - y_mean) / y_sd
 
     rng = np.random.default_rng(seed)
@@ -363,3 +362,15 @@ def gp_fit_detail(
     }
     return fitted, info
 
+
+def _record_hyperparameters(info: dict, n_dims: int) -> GpHyperparameters:
+    """The kernel a ``gp_fit_detail`` record settled on, to refit with.
+
+    A constant column's record names no kernel, so it gets a placeholder;
+    its refit returns the column mean without using it.
+    """
+    if info.get("constant_response"):
+        return GpHyperparameters((1.0,) * n_dims, signal_var=1.0, noise_var=1.0)
+    return GpHyperparameters(
+        tuple(info["length_scales"]), info["signal_var"], info["noise_var"]
+    )

@@ -43,6 +43,10 @@ __all__ = [
 # Matches the analysis threshold the built-in toy model is tuned around.
 DEFAULT_WTP = 20000.0
 
+# Outer draws per vectorized block of the brute-force oracle; at 1000 inner
+# draws each, a block's parameter matrix holds about 13 MB.
+_BRUTE_FORCE_CHUNK = 200
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -355,7 +359,6 @@ def brute_force_evppi(
     n_outer: int = 10_000,
     n_inner: int = 1_000,
     seed: int = 0,
-    _chunk: int = 200,
 ) -> tuple[float, float]:
     """High-budget nested Monte Carlo oracle for the toy model.
 
@@ -379,8 +382,8 @@ def brute_force_evppi(
 
     maxima = np.empty(n_outer)
     grand = np.zeros(model.n_treatments)
-    for start in range(0, n_outer, _chunk):
-        block = outer[start : start + _chunk]
+    for start in range(0, n_outer, _BRUTE_FORCE_CHUNK):
+        block = outer[start : start + _BRUTE_FORCE_CHUNK]
         c = block.shape[0]
         theta = np.empty((c * n_inner, len(model.param_names)))
         for col_pos, col in enumerate(idx):

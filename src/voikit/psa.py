@@ -299,6 +299,21 @@ class PsaSample:
         return out
 
 
+def _standardized_params(sample: PsaSample, subset: ParamSubset) -> np.ndarray:
+    """The subset's parameter columns, each shifted to mean 0 and scaled to
+    SD 1: the inputs both regression smoothers fit on."""
+    subset.validate_against(sample.n_params)
+    phi = sample.params[:, list(subset.indices)]
+    sd = phi.std(axis=0)
+    if np.any(sd == 0):
+        bad = [sample.param_names[subset.indices[i]] for i in np.where(sd == 0)[0]]
+        raise ValueError(
+            f"constant parameter column(s) {bad} carry no information; "
+            "a regression on them is rank-deficient"
+        )
+    return (phi - phi.mean(axis=0)) / sd
+
+
 @dataclass(frozen=True)
 class EvppiEstimate:
     """An EVPPI (or EVPI) value with its method tag and diagnostics.

@@ -11,17 +11,16 @@ and quantifies sampling uncertainty by resampling simulation rows.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .gam import gam_fit_detail
-from .gp import GpHyperparameters, gp_fit_detail
+from .gp import GpHyperparameters, _record_hyperparameters, gp_fit_detail
 from .psa import EstimationError, EvppiEstimate, ParamSubset, PsaSample, evpi
 
 __all__ = [
-    "RegressionFit",
     "BootstrapConfig",
     "fit_regression",
     "regression_evppi",
@@ -36,33 +35,6 @@ __all__ = [
 # Exceptions that mark one bootstrap replicate as failed rather than the
 # whole run: estimation failures and numerical breakdowns on a resample.
 REPLICATE_FAILURES = (EstimationError, np.linalg.LinAlgError, ValueError)
-
-
-@dataclass(frozen=True)
-class RegressionFit:
-    """Per-treatment fitted conditional expectations of net benefit."""
-
-    method: str  # "GAM" or "GP"
-    fitted: np.ndarray  # S x T
-    residual_var: np.ndarray  # length T
-    hyperparameters: tuple[dict, ...]  # one entry per treatment
-
-    def __post_init__(self):
-        if self.method not in ("GAM", "GP"):
-            raise ValueError(f"method must be GAM or GP, got {self.method!r}")
-        fitted = np.asarray(self.fitted, dtype=float)
-        if fitted.ndim != 2 or not np.all(np.isfinite(fitted)):
-            raise ValueError("fitted values must form a finite S x T matrix")
-        rvar = np.asarray(self.residual_var, dtype=float)
-        if rvar.shape != (fitted.shape[1],) or np.any(rvar < 0):
-            raise ValueError("residual_var must be a nonnegative length-T vector")
-        if len(self.hyperparameters) != fitted.shape[1]:
-            raise ValueError("one hyperparameter record per treatment required")
-        fitted.flags.writeable = False
-        rvar.flags.writeable = False
-        object.__setattr__(self, "fitted", fitted)
-        object.__setattr__(self, "residual_var", rvar)
-        object.__setattr__(self, "hyperparameters", tuple(dict(h) for h in self.hyperparameters))
 
 
 @dataclass(frozen=True)
@@ -84,8 +56,9 @@ def fit_regression(
     seed: int = 0,
     interactions: bool | None = None,
     gp_hyperparameters: tuple[GpHyperparameters, ...] | None = None,
-) -> RegressionFit:
-    """Fit every treatment column and collect the results.
+) -> tuple[np.ndarray, list[dict]]:
+    """Fitted values of every treatment column (S x T) and one smoother
+    record per column.
 
     GAM fits all columns in one call on one shared spline basis; GP fits
     one column at a time.
@@ -98,37 +71,32 @@ def fit_regression(
     if method not in ("gam", "gp"):
         raise ValueError(f"method must be 'gam' or 'gp', got {method!r}")
     if method == "gam":
-        fitted, infos = gam_fit_detail(sample, subset, interactions=interactions)
-    else:
-        fitted = np.empty_like(sample.nb)
-        infos = []
-        for t in range(sample.n_treatments):
-            hp = None if gp_hyperparameters is None else gp_hyperparameters[t]
-            col, info = gp_fit_detail(sample, subset, t, seed=seed, hyperparameters=hp)
-            fitted[:, t] = col
-            infos.append(info)
-    return RegressionFit(
-        method=method.upper(),
-        fitted=fitted,
-        residual_var=np.array([i.get("residual_var", 0.0) for i in infos]),
-        hyperparameters=tuple(infos),
-    )
+        return gam_fit_detail(sample, subset, interactions=interactions)
+    fits = [
+        gp_fit_detail(
+            sample, subset, t, seed=seed,
+            hyperparameters=None if gp_hyperparameters is None else gp_hyperparameters[t],
+        )
+        for t in range(sample.n_treatments)
+    ]
+    return np.column_stack([col for col, _ in fits]), [info for _, info in fits]
 
 
-def regression_evppi(fit: RegressionFit) -> EvppiEstimate:
-    """Plug-in EVPPI of a fitted conditional-mean matrix.
+def regression_evppi(fit: tuple[np.ndarray, list[dict]], method: str) -> EvppiEstimate:
+    """Plug-in EVPPI of a ``fit_regression`` result, tagged ``method``.
 
     Mean of per-simulation best fitted values minus the best column mean;
-    nonnegative by construction.
+    nonnegative by construction.  Non-finite fitted values raise
+    ``ValueError``.
     """
-    value = evpi(fit.fitted)
+    fitted, records = fit
     return EvppiEstimate.clamped(
-        value,
-        fit.method,
-        nb_scale=float(np.max(np.abs(fit.fitted))),
+        evpi(fitted),
+        method,
+        nb_scale=float(np.max(np.abs(fitted))),
         diagnostics={
-            "residual_var": fit.residual_var.tolist(),
-            "hyperparameters": list(fit.hyperparameters),
+            "residual_var": [r["residual_var"] for r in records],
+            "hyperparameters": list(records),
         },
     )
 
@@ -225,15 +193,15 @@ def with_bootstrap(
     values, failures = bootstrap_estimates(
         recording, sample, config, n_threads=n_threads
     )
-    diag = dict(estimate.diagnostics)
-    diag["bootstrap_replicates"] = values.tolist()
-    diag["bootstrap_failures"] = failures
-    diag["bootstrap_failure_types"] = dict(sorted(Counter(failed).items()))
-    return EvppiEstimate(
-        value=estimate.value,
-        method=estimate.method,
+    return replace(
+        estimate,
         std_error=float(np.std(values, ddof=1)),
-        diagnostics=diag,
+        diagnostics={
+            **estimate.diagnostics,
+            "bootstrap_replicates": values.tolist(),
+            "bootstrap_failures": failures,
+            "bootstrap_failure_types": dict(sorted(Counter(failed).items())),
+        },
     )
 
 
@@ -252,7 +220,7 @@ def gam_evppi(
 
     def estimator(s: PsaSample) -> EvppiEstimate:
         return regression_evppi(
-            fit_regression(s, subset, method="gam", interactions=interactions)
+            fit_regression(s, subset, method="gam", interactions=interactions), "GAM"
         )
 
     return with_bootstrap(estimator(sample), estimator, sample, bootstrap, n_threads)
@@ -273,25 +241,12 @@ def gp_evppi(
     materially.
     """
     fit = fit_regression(sample, subset, method="gp", seed=seed)
-    estimate = regression_evppi(fit)
-    if bootstrap is None:
-        return estimate
-    fixed = tuple(
-        GpHyperparameters(
-            length_scales=tuple(info["length_scales"]),
-            signal_var=info["signal_var"],
-            noise_var=info["noise_var"],
-        )
-        if "length_scales" in info
-        else GpHyperparameters(
-            length_scales=(1.0,) * len(subset.indices), signal_var=1.0, noise_var=1.0
-        )
-        for info in fit.hyperparameters
-    )
+    fixed = tuple(_record_hyperparameters(info, len(subset.indices)) for info in fit[1])
     return with_bootstrap(
-        estimate,
+        regression_evppi(fit, "GP"),
         lambda s: regression_evppi(
-            fit_regression(s, subset, method="gp", seed=seed, gp_hyperparameters=fixed)
+            fit_regression(s, subset, method="gp", seed=seed, gp_hyperparameters=fixed),
+            "GP",
         ),
         sample,
         bootstrap,

@@ -498,6 +498,30 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert e.value.code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--bins", "10", "--bias-threshold", "5"],
+        ["--bins", "10", "--bias-threshold-relative", "0.01"],
+        ["--bias-threshold", "5", "--bias-threshold-relative", "0.01"],
+    ], ids=["bins-absolute", "bins-relative", "absolute-relative"])
+    def test_bin_count_flags_are_exclusive(self, capsys, lin_csv, flags):
+        # all three set the one SO bin count
+        with pytest.raises(SystemExit) as e:
+            main(["evppi", "--file", lin_csv, "--method", "so", "--params", "phi", *flags])
+        assert e.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--bootstrap", "--threads"])
+    def test_sweep_has_no_bootstrap_flags(self, capsys, toy_csv, flag):
+        # a sweep reports values only, so replicates would be thrown away
+        with pytest.raises(SystemExit) as e:
+            main([
+                "sweep", "--file", toy_csv, "--params", "risk_reduction",
+                "--method", "sad", "--changes", "1", "--k-list", "10000,20000",
+                flag, "2",
+            ])
+        assert e.value.code == 1
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         pytest.param(
             ["compare", "--params", "phi", "--bootstrap", "1"],

@@ -6,6 +6,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from voikit import LinearGaussianSpec, ParamSubset, PsaSample, gam_fit_detail, generate_psa
 from voikit import gam
+from voikit.psa import _standardized_params
 
 from conftest import make_sample
 
@@ -146,7 +147,7 @@ def _cholesky_gcv(lam, xtx, penalty, xty, yty, n_rows):
 
 
 def _normal_equations(sample, subset, t, interactions=None):
-    phi = gam._standardized_params(sample, subset)
+    phi = _standardized_params(sample, subset)
     if interactions is None:
         interactions = gam._default_interactions(phi.shape[1])
     design, penalty = gam._build_design(phi, interactions)

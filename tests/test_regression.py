@@ -10,7 +10,6 @@ from voikit import (
     EstimationError,
     LinearGaussianSpec,
     ParamSubset,
-    RegressionFit,
     bootstrap_estimates,
     bootstrap_se,
     evpi,
@@ -46,32 +45,28 @@ def _replicate_index(sample, cfg):
     )
 
 
-def _fit_with(fitted, method="GAM"):
+def _fit_with(fitted):
+    """A ``fit_regression`` result with the given fitted values."""
     fitted = np.asarray(fitted, dtype=float)
-    return RegressionFit(
-        method=method,
-        fitted=fitted,
-        residual_var=np.zeros(fitted.shape[1]),
-        hyperparameters=tuple({} for _ in range(fitted.shape[1])),
-    )
+    return fitted, [{"residual_var": 0.0} for _ in range(fitted.shape[1])]
 
 
 class TestRegressionEvppi:
     def test_identical_fitted_columns_give_zero(self):
         col = np.random.default_rng(0).normal(size=30)
-        est = regression_evppi(_fit_with(np.column_stack([col, col])))
+        est = regression_evppi(_fit_with(np.column_stack([col, col])), "GAM")
         assert est.value == 0.0
 
     def test_interpolating_fit_recovers_full_information_value(self):
         nb = np.random.default_rng(1).normal(size=(100, 3))
-        est = regression_evppi(_fit_with(nb))
+        est = regression_evppi(_fit_with(nb), "GAM")
         assert est.value == evpi(nb)
 
     def test_linear_gaussian_oracle_both_methods(self, lin_sample, lin_spec):
         target = linear_gaussian_oracle(lin_spec, "phi")
         for method in ("gam", "gp"):
             fit = fit_regression(lin_sample, ParamSubset.of(0), method=method, seed=3)
-            est = regression_evppi(fit)
+            est = regression_evppi(fit, method.upper())
             assert est.value == pytest.approx(target, abs=0.02), method
             assert est.method == method.upper()
 
@@ -79,37 +74,15 @@ class TestRegressionEvppi:
         rng = np.random.default_rng(2)
         for _ in range(50):
             fitted = rng.normal(size=(20, 3))
-            assert regression_evppi(_fit_with(fitted)).value >= 0.0
+            assert regression_evppi(_fit_with(fitted), "GAM").value >= 0.0
 
 
 class TestRegressionFitValidation:
-    def test_method_tag(self):
-        with pytest.raises(ValueError, match="GAM or GP"):
-            _fit_with(np.zeros((4, 2)), method="OLS")
-
     def test_non_finite_fitted(self):
         bad = np.zeros((4, 2))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            _fit_with(bad)
-
-    def test_residual_var_shape_and_sign(self):
-        with pytest.raises(ValueError, match="residual_var"):
-            RegressionFit(
-                method="GAM",
-                fitted=np.zeros((4, 2)),
-                residual_var=np.array([-1.0, 0.0]),
-                hyperparameters=({}, {}),
-            )
-
-    def test_one_hyperparameter_record_per_treatment(self):
-        with pytest.raises(ValueError, match="per treatment"):
-            RegressionFit(
-                method="GAM",
-                fitted=np.zeros((4, 2)),
-                residual_var=np.zeros(2),
-                hyperparameters=({},),
-            )
+            regression_evppi(_fit_with(bad), "GAM")
 
     def test_unknown_method_in_fit_regression(self, lin_sample):
         with pytest.raises(ValueError, match="'gam' or 'gp'"):
