@@ -21,7 +21,6 @@ from .psa import (
 )
 from .io import PsaFormatError, read_psa_csv, write_psa_csv
 from .single_param import (
-    BinPartition,
     CumsumCurve,
     cumsum_curve,
     order_by_param,
@@ -71,7 +70,6 @@ __all__ = [
     "PsaFormatError",
     "read_psa_csv",
     "write_psa_csv",
-    "BinPartition",
     "CumsumCurve",
     "cumsum_curve",
     "order_by_param",

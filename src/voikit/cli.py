@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +31,9 @@ from .models import (
 from .nested_mc import nested_mc_evppi
 from .psa import EstimationError, ParamSubset, PsaSample, evpi
 from .regression import BootstrapConfig, gam_evppi, gp_evppi, with_bootstrap
-from .single_param import cumsum_curve, sad_evppi, so_choose_bins, so_evppi
+from .single_param import (
+    DEFAULT_BIAS_THRESHOLD, cumsum_curve, sad_evppi, so_choose_bins, so_evppi,
+)
 
 METHOD_ORDER = ("SO", "SAD", "GP", "GAM", "MC")
 
@@ -160,7 +163,13 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
         else:
             threshold = args.bias_threshold
             if args.bias_threshold_relative is not None:
-                threshold = args.bias_threshold_relative * evpi(sample.nb)
+                full = evpi(sample.nb)
+                if full == 0:
+                    raise _UsageError(
+                        "--bias-threshold-relative sets the cap as a fraction of "
+                        "the EVPI, which is 0 for this sample"
+                    )
+                threshold = args.bias_threshold_relative * full
             n_bins, chosen_bias = so_choose_bins(
                 sample, p, threshold=threshold, seed=args.seed
             )
@@ -402,7 +411,7 @@ def _add_common(p):
     bins = p.add_mutually_exclusive_group()
     bins.add_argument("--bins", type=int, default=None,
                       help="bin count for the bin-averaging method (default: bias-guided)")
-    bins.add_argument("--bias-threshold", type=float, default=0.1,
+    bins.add_argument("--bias-threshold", type=float, default=DEFAULT_BIAS_THRESHOLD,
                       help="upward-bias cap, in currency units, for automatic bin choice")
     bins.add_argument("--bias-threshold-relative", type=float, default=None,
                       help="bias cap as a fraction of EVPI")
@@ -484,7 +493,8 @@ def build_parser() -> _Parser:
 
 
 def _check_counts(args) -> None:
-    """Reject a count that cannot mean what was asked, before any work."""
+    """Reject a count or fraction that cannot mean what was asked, before
+    any work."""
     bootstrap = getattr(args, "bootstrap", 0)
     if bootstrap < 0 or bootstrap == 1:
         raise _UsageError(
@@ -496,6 +506,11 @@ def _check_counts(args) -> None:
         if value < floor:
             name = "--" + flag.replace("_", "-")
             raise _UsageError(f"{name} must be at least {floor}, got {value}")
+    fraction = getattr(args, "bias_threshold_relative", None)
+    if fraction is not None and not (fraction > 0 and math.isfinite(fraction)):
+        raise _UsageError(
+            f"--bias-threshold-relative must be positive and finite, got {fraction}"
+        )
 
 
 def main(argv=None) -> int:

@@ -1,19 +1,22 @@
 """Single-parameter EVPPI estimators built on rank-ordering one column.
 
-Two estimators share the same preparation (sort the simulations by the
-parameter of interest, then reason about contiguous runs of the ordered
-net-benefit rows):
+Both estimators sort the simulations by the parameter of interest, split
+the ordered net-benefit rows into contiguous segments, and sum each
+segment's best net benefit.  Taken relative to the on-average best
+treatment that sum is the EVPPI estimate itself; the estimators differ
+only in where the segment bounds go:
 
-* bin averaging: split the ordered rows into M near-equal bins, average
-  per treatment within each bin, take per-bin maxima.  M is chosen by
-  holding the estimator's upward bias (estimated by a seeded normal
+* bin averaging fixes them: M bins of near-equal row count.  M is chosen
+  by holding the estimator's upward bias (estimated by a seeded normal
   perturbation of the bin means) under a threshold.
-* segmentation search: pick the D cut points that maximise the
-  size-weighted sum of per-segment best mean net benefit.  D is the
-  number of times the decision is believed to change and must be supplied
-  by the analyst; the cumulative-sum curve below is the supporting visual.
-  Cuts fall only between distinct parameter values.  The search is exact
-  and costs O(D S T) for S rows and T treatments.
+* segmentation search searches for them: the D cut points that maximise
+  the total.  D is the number of times the decision is believed to change
+  and must be supplied by the analyst; the cumulative-sum curve below is
+  the supporting visual.  The search is exact and costs O(D S T) for S
+  rows and T treatments.
+
+No segment bound falls inside a run of tied parameter values, so neither
+estimate depends on the order of tied rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 from .psa import EvppiEstimate, PsaSample, incremental_nb
 
 __all__ = [
-    "BinPartition",
     "CumsumCurve",
     "order_by_param",
     "so_evppi",
@@ -46,55 +48,8 @@ DEFAULT_BIAS_THRESHOLD = 0.1
 DEFAULT_BIAS_REPLICATES = 500
 
 
-@dataclass(frozen=True)
-class BinPartition:
-    """Contiguous split of S rank-ordered rows into M bins.
-
-    Bin sizes differ by at most one; when M does not divide S the extra
-    rows go one each to the last bins.  ``offsets`` has M+1 entries with
-    ``offsets[m]:offsets[m+1]`` delimiting bin m.
-    """
-
-    n_rows: int
-    n_bins: int
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=int)
-        sizes = np.diff(offsets)
-        if (
-            offsets.ndim != 1
-            or offsets.size != self.n_bins + 1
-            or offsets[0] != 0
-            or offsets[-1] != self.n_rows
-            or np.any(sizes < 1)
-        ):
-            raise ValueError("offsets must split the rows into contiguous nonempty bins")
-        if sizes.max() - sizes.min() > 1:
-            raise ValueError("bin sizes may differ by at most one")
-        offsets.flags.writeable = False
-        object.__setattr__(self, "offsets", offsets)
-
-    @classmethod
-    def build(cls, n_rows: int, n_bins: int) -> "BinPartition":
-        if not 1 <= n_bins <= n_rows:
-            raise ValueError(f"bin count must be in [1, {n_rows}], got {n_bins}")
-        base = n_rows // n_bins
-        remainder = n_rows % n_bins
-        sizes = np.full(n_bins, base, dtype=int)
-        if remainder:
-            sizes[-remainder:] += 1
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        return cls(n_rows=n_rows, n_bins=n_bins, offsets=offsets)
-
-    @property
-    def bin_size(self) -> int:
-        """The base bin size floor(S/M)."""
-        return self.n_rows // self.n_bins
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
+class _OneRowBin(ValueError):
+    """A bin of one row, which has no within-bin variance."""
 
 
 @dataclass(frozen=True)
@@ -137,9 +92,9 @@ def order_by_param(sample: PsaSample, p: int) -> np.ndarray:
 
 
 def _phi_diagnostics(tied: np.ndarray) -> dict:
-    """Tie and constancy flags of a parameter column from its tie mask:
-    ``tied[j]`` says ranks j and j+1 of the ascending column hold equal
-    values, so distinct values are counted without another sort."""
+    """Tie and constancy flags of a parameter column from its tie mask
+    (:func:`_ranked`), so distinct values are counted without another
+    sort."""
     n_rows = tied.size + 1
     n_unique = n_rows - int(np.count_nonzero(tied))
     tie_fraction = 1.0 - n_unique / n_rows
@@ -152,50 +107,66 @@ def _phi_diagnostics(tied: np.ndarray) -> dict:
     return diag
 
 
-def _binned_stats(nb_ordered: np.ndarray, partition: BinPartition):
-    sums = np.add.reduceat(nb_ordered, partition.offsets[:-1], axis=0)
-    sizes = partition.sizes
-    means = sums / sizes[:, None]
-    return means, sizes
+def _ranked(sample: PsaSample, p: int):
+    """What every single-parameter estimate starts from: the rank order of
+    column p, the sorted column, and its tie mask (``tied[j]`` says ranks j
+    and j+1 hold equal values)."""
+    perm = order_by_param(sample, p)
+    phi_sorted = sample.param_column(p)[perm]
+    return perm, phi_sorted, phi_sorted[1:] == phi_sorted[:-1]
 
 
-def _weighted_terms(means: np.ndarray, sizes: np.ndarray, n_rows: int):
-    """Size-weighted first and second terms of the binned estimator.
+def _bin_bounds(phi_sorted: np.ndarray, n_bins: int) -> np.ndarray:
+    """Bounds of the bins that split the S ranked rows of the sorted column
+    ``phi_sorted`` into at most ``n_bins`` contiguous bins.
 
-    The per-bin maxima are stacked next to the per-bin means and reduced in
-    a single weighted product, so the first term dominates the second
-    exactly (not merely up to rounding) whenever it does entrywise.
+    The equal-count edges give sizes that differ by at most one, the extra
+    rows going one each to the last bins.  An edge inside a run of tied
+    values then moves to the nearer end of the run (the lower end on equal
+    distance), and edges that land on the same rank merge, so no bin splits
+    a tie.  A tie-free column keeps the equal-count edges.  The bounds rise
+    strictly from 0 to S; bin m holds ranks ``bounds[m]:bounds[m+1]``.
     """
-    bin_max = means.max(axis=1)
-    stacked = np.column_stack([means, bin_max])
-    weighted = sizes.astype(float) @ stacked / n_rows
-    return float(weighted[-1]), weighted[:-1]
+    n_rows = phi_sorted.size
+    if not 1 <= n_bins <= n_rows:
+        raise ValueError(f"bin count must be in [1, {n_rows}], got {n_bins}")
+    base, remainder = divmod(n_rows, n_bins)
+    k = np.arange(n_bins + 1)
+    edges = k * base + np.maximum(k - (n_bins - remainder), 0)
+    # the run of values equal to the one ranked at each inner edge: an edge
+    # at the start of its run stays, any other moves to the nearer end
+    inner = edges[1:-1]
+    lo = np.searchsorted(phi_sorted, phi_sorted[inner], side="left")
+    hi = np.searchsorted(phi_sorted, phi_sorted[inner], side="right")
+    edges[1:-1] = np.where(inner - lo <= hi - inner, lo, hi)
+    return np.unique(edges)
 
 
 def so_evppi(sample: PsaSample, p: int, n_bins: int) -> EvppiEstimate:
     """Bin-averaging single-parameter EVPPI.
 
     Rows are ordered by parameter column ``p`` and split into ``n_bins``
-    contiguous bins; the estimate is the size-weighted average of per-bin
-    best mean net benefit minus the overall best mean.  Only the ranks of
-    the parameter matter, so any strictly increasing transform of the
-    column leaves the estimate unchanged.
+    contiguous bins of near-equal row count, none splitting a run of tied
+    values (:func:`_bin_bounds`); the estimate is the size-weighted average
+    of per-bin best mean net benefit minus the overall best mean.  Only the
+    ranks of the parameter matter, so any strictly increasing transform of
+    the column leaves the estimate unchanged.  The diagnostics give the
+    bins used (``bins``; edges in one tie merge) and the smallest
+    (``bin_size``).
     """
-    partition = BinPartition.build(sample.n_sims, n_bins)
-    perm = order_by_param(sample, p)
-    means, sizes = _binned_stats(sample.nb[perm], partition)
-    first, col_means = _weighted_terms(means, sizes, sample.n_sims)
-    value = first - float(col_means.max())
-    phi_sorted = sample.param_column(p)[perm]
-
+    perm, phi_sorted, tied = _ranked(sample, p)
+    bounds = _bin_bounds(phi_sorted, n_bins)
+    prefix = _relative_prefix_sums(np.add.reduceat(sample.nb[perm], bounds[:-1], axis=0))
+    maxima, best = _segment_maxima(prefix, np.arange(bounds.size))
     diag = {
-        "bins": int(n_bins),
-        "bin_size": partition.bin_size,
-        "bin_argmax": means.argmax(axis=1).tolist(),
-        **_phi_diagnostics(phi_sorted[1:] == phi_sorted[:-1]),
+        "bins": int(bounds.size - 1),
+        "bin_size": int(np.diff(bounds).min()),
+        "bin_argmax": best.tolist(),
+        **_phi_diagnostics(tied),
     }
     return EvppiEstimate.clamped(
-        value, "SO", nb_scale=float(np.max(np.abs(sample.nb))), diagnostics=diag
+        float(maxima.sum()) / sample.n_sims, "SO",
+        nb_scale=float(np.max(np.abs(sample.nb))), diagnostics=diag,
     )
 
 
@@ -215,28 +186,29 @@ def so_bias(
     perfectly correlated means and no upward bias at all.)  The average
     excess of the noisy per-bin maximum over the true per-bin maximum,
     size-weighted across bins, estimates how much the max-of-noisy-means
-    inflates the first term.  Deterministic given the seed; the Monte Carlo
-    average is clamped at zero.
+    inflates the first term.  The bins are those :func:`so_evppi` uses at
+    the same count; one of fewer than two rows is an error.  Deterministic
+    given the seed; the Monte Carlo average is clamped at zero.
     """
     if n_mc < 1:
         raise ValueError("need at least one bias replicate")
-    partition = BinPartition.build(sample.n_sims, n_bins)
-    if partition.bin_size < 2:
-        raise ValueError(
-            f"bins of size {partition.bin_size} cannot estimate within-bin variance; "
-            f"use n_bins <= {sample.n_sims // 2}"
+    perm, phi_sorted, _ = _ranked(sample, p)
+    bounds = _bin_bounds(phi_sorted, n_bins)
+    sizes = np.diff(bounds)
+    if sizes.min() < 2:
+        raise _OneRowBin(
+            f"a bin of {sizes.min()} row cannot estimate within-bin variance; use fewer bins"
         )
-    perm = order_by_param(sample, p)
-    nb_ordered = sample.nb[perm]
-    means, sizes = _binned_stats(nb_ordered, partition)
+    centered = sample.nb[perm]  # a copy, centred in place below
+    means = np.add.reduceat(centered, bounds[:-1], axis=0) / sizes[:, None]
     n_bins_eff, n_t = means.shape
 
     # within-bin covariance, one product column per treatment pair: O(S)
     # memory instead of an S x T x T tensor
-    centered = nb_ordered - np.repeat(means, sizes, axis=0)
+    centered -= np.repeat(means, sizes, axis=0)
     cov = np.empty((n_bins_eff, n_t, n_t))
     for i, j in zip(*np.triu_indices(n_t)):
-        pair = np.add.reduceat(centered[:, i] * centered[:, j], partition.offsets[:-1])
+        pair = np.add.reduceat(centered[:, i] * centered[:, j], bounds[:-1])
         cov[:, i, j] = cov[:, j, i] = pair
     cov /= (sizes - 1)[:, None, None]
 
@@ -276,18 +248,23 @@ def so_choose_bins(
     the threshold, so only candidates at or above the choice have their
     bias estimated.  Each candidate's bias uses a seed derived from
     (seed, candidate), so the result is reproducible and the same as
-    estimating every candidate and keeping the largest qualifying one.
-    Falls back to a single bin, with a warning and the single bin's bias,
-    when no candidate qualifies.
+    estimating every candidate and keeping the largest qualifying one.  A
+    candidate whose bins, kept clear of ties, include one of a single row
+    does not qualify.  Falls back to a single bin, with a warning and the
+    single bin's bias, when no other candidate qualifies.
     """
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     max_bins = max(1, sample.n_sims // 10)
-    # BIN_GRID ascends from 1, so the scan always ends at the single bin
+    # BIN_GRID ascends from 1, so the scan always ends at the single bin,
+    # whose S >= 2 rows always give a within-bin variance
     for m in reversed(BIN_GRID):
         if m > max_bins:
             continue
-        bias = so_bias(sample, p, m, n_mc=n_mc, seed=[seed, m])
+        try:
+            bias = so_bias(sample, p, m, n_mc=n_mc, seed=[seed, m])
+        except _OneRowBin:
+            continue
         if bias < threshold:
             return m, bias
     warnings.warn(
@@ -310,6 +287,15 @@ def _relative_prefix_sums(nb_ordered: np.ndarray) -> np.ndarray:
     prefix = np.vstack([np.zeros(n_t), np.cumsum(nb_ordered, axis=0)])
     t_star = int(np.argmax(prefix[-1]))
     return prefix - prefix[:, t_star : t_star + 1]
+
+
+def _segment_maxima(prefix: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Best relative sum of each segment ``bounds[m]:bounds[m+1]`` of the
+    rows behind ``prefix``, and the treatment attaining it (lowest index on
+    ties).  Their total over a segmentation, divided by S, is its EVPPI
+    estimate."""
+    segments = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    return segments.max(axis=1), segments.argmax(axis=1)
 
 
 def _best_cuts(
@@ -386,9 +372,7 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
             f"segmentation search is capped at 3 decision changes, got {n_changes}"
         )
 
-    perm = order_by_param(sample, p)
-    phi_sorted = sample.param_column(p)[perm]
-    tied = phi_sorted[1:] == phi_sorted[:-1]
+    perm, phi_sorted, tied = _ranked(sample, p)
     n_distinct = sample.n_sims - int(np.count_nonzero(tied))
     if n_changes >= n_distinct:
         raise ValueError(
@@ -407,12 +391,10 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
     best, cut_ranks = _best_cuts(prefix, n_changes, tied)
     value = best / sample.n_sims
 
-    bounds = [0, *cut_ranks, sample.n_sims]
     diag["cut_ranks"] = [int(c) for c in cut_ranks]
     diag["cut_values"] = [float(phi_sorted[c]) for c in cut_ranks]
-    diag["segment_treatments"] = [
-        int(np.argmax(prefix[hi] - prefix[lo])) for lo, hi in zip(bounds, bounds[1:])
-    ]
+    _, segment_best = _segment_maxima(prefix, [0, *cut_ranks, sample.n_sims])
+    diag["segment_treatments"] = segment_best.tolist()
     return EvppiEstimate.clamped(value, "SAD", nb_scale, diagnostics=diag)
 
 

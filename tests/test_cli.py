@@ -554,6 +554,37 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"voikit: error: {message}\n"
 
+    @pytest.mark.parametrize("fraction", ["0", "-0.01", "nan", "inf"])
+    def test_bad_relative_fraction_rejected_before_any_work(self, capsys, tmp_path, fraction):
+        missing = str(tmp_path / "missing.csv")
+        rc, out, err = _run(capsys, [
+            "evppi", "--file", missing, "--method", "so", "--params", "phi",
+            "--bias-threshold-relative", fraction,
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "voikit: error: --bias-threshold-relative must be positive and finite, "
+            f"got {float(fraction)}\n"
+        )
+
+    def test_relative_cap_needs_positive_evpi(self, capsys, tmp_path):
+        # arm 1 is best in every row, so the EVPI and any fraction of it are 0
+        rng = np.random.default_rng(6)
+        nb0 = rng.normal(size=500)
+        path = tmp_path / "dominated.csv"
+        write_psa_csv(path, PsaSample(
+            ("phi",), rng.normal(size=(500, 1)), nb=np.column_stack([nb0, nb0 + 1.0]),
+        ))
+        rc, out, err = _run(capsys, [
+            "evppi", "--file", str(path), "--method", "so", "--params", "phi",
+            "--bias-threshold-relative", "0.01",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert "--bias-threshold-relative" in err
+        assert "EVPI, which is 0" in err
+
 
 _COLD_START_SCRIPT = """
 import contextlib, io, json, sys

@@ -7,9 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voikit import (
-    BinPartition,
     BootstrapConfig,
     CumsumCurve,
     LinearGaussianSpec,
@@ -27,7 +28,7 @@ from voikit import (
     so_evppi,
 )
 from voikit import single_param
-from voikit.single_param import BIN_GRID, _relative_prefix_sums
+from voikit.single_param import BIN_GRID, _bin_bounds, _relative_prefix_sums
 
 from conftest import make_sample
 
@@ -145,22 +146,55 @@ class TestOrderByParam:
                 assert values.tolist() == [estimator(s) for s in draw_order]
 
 
-class TestBinPartition:
+class TestBinBounds:
     @pytest.mark.parametrize("n_rows,n_bins", [(10, 3), (100, 7), (9, 9), (57, 10)])
     def test_sizes_contiguous_and_balanced(self, n_rows, n_bins):
-        part = BinPartition.build(n_rows, n_bins)
-        sizes = part.sizes
+        bounds = _bin_bounds(np.arange(n_rows, dtype=float), n_bins)
+        sizes = np.diff(bounds)
         assert sizes.sum() == n_rows
         assert sizes.max() - sizes.min() <= 1
-        assert part.offsets[0] == 0 and part.offsets[-1] == n_rows
+        assert bounds[0] == 0 and bounds[-1] == n_rows
         # the remainder goes one-each to the last bins
         assert np.all(np.diff(sizes) >= 0)
-        assert part.bin_size == n_rows // n_bins
+        assert sizes.min() == n_rows // n_bins
 
     @pytest.mark.parametrize("n_bins", [0, -1, 11])
     def test_bad_bin_counts(self, n_bins):
         with pytest.raises(ValueError, match="bin count"):
-            BinPartition.build(10, n_bins)
+            _bin_bounds(np.arange(10, dtype=float), n_bins)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 12), min_size=2, max_size=80),
+        tie_free=st.booleans(),
+        data=st.data(),
+    )
+    def test_bounds_keep_ties_whole(self, values, tie_free, data):
+        phi = np.arange(len(values)) if tie_free else np.sort(values)
+        n_rows = phi.size
+        n_bins = data.draw(st.integers(1, n_rows))
+        bounds = _bin_bounds(phi, n_bins)
+        assert bounds[0] == 0 and bounds[-1] == n_rows
+        assert np.all(np.diff(bounds) > 0)
+        interior = bounds[1:-1]
+        assert np.all(phi[interior - 1] < phi[interior])
+        if tie_free:
+            sizes = np.full(n_bins, n_rows // n_bins)
+            sizes[n_bins - n_rows % n_bins:] += 1
+            assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
+
+    def test_tied_edge_moves_to_nearer_end_of_its_run(self):
+        # ranks 2..6 hold one value; the equal-count edges are 0, 3, 6, 9
+        phi = np.array([0, 1, 2, 2, 2, 2, 2, 3, 4])
+        # edge 3 is one rank above the run's start (2) and four below its
+        # end (7); edge 6 is one below the end
+        assert _bin_bounds(phi, 3).tolist() == [0, 2, 7, 9]
+        # of the edges 0, 2, 4, 6, 9, edge 4 joins the one at 2: four bins
+        # asked, three used
+        assert _bin_bounds(phi, 4).tolist() == [0, 2, 7, 9]
+        # edge 3 sits two ranks from either end of the run 1..4: it goes down
+        phi = np.array([0, 1, 1, 1, 1, 2])
+        assert _bin_bounds(phi, 2).tolist() == [0, 1, 6]
 
 
 class TestSoEvppi:
@@ -205,6 +239,16 @@ class TestSoEvppi:
         with pytest.raises(ValueError, match="bin count"):
             so_evppi(lin_sample, 0, m)
 
+    def test_constant_column_is_zero_at_every_bin_count(self):
+        nb = np.random.default_rng(3).normal(size=(50, 3))
+        sample = make_sample(nb, phi=np.full(50, -1.5))
+        for m in (1, 2, 7, 25, 50):
+            with pytest.warns(UserWarning, match="constant"):
+                est = so_evppi(sample, 0, m)
+            assert est.value == 0.0
+            assert est.diagnostics["bins"] == 1
+            assert est.diagnostics["bin_size"] == 50
+
     def test_constant_column_flagged(self):
         nb = np.random.default_rng(1).normal(size=(20, 2))
         sample = make_sample(nb, phi=np.ones(20))
@@ -215,13 +259,14 @@ class TestSoEvppi:
 
 def _so_bias_tensor_reference(sample, p, n_bins, n_mc, seed):
     """so_bias as it was first written, with the S x T x T cross tensor."""
-    partition = BinPartition.build(sample.n_sims, n_bins)
+    sizes = np.full(n_bins, sample.n_sims // n_bins)
+    sizes[n_bins - sample.n_sims % n_bins:] += 1
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
     nb_ordered = sample.nb[np.argsort(sample.params[:, p], kind="stable")]
-    sizes = partition.sizes
-    means = np.add.reduceat(nb_ordered, partition.offsets[:-1], axis=0) / sizes[:, None]
+    means = np.add.reduceat(nb_ordered, offsets[:-1], axis=0) / sizes[:, None]
     centered = nb_ordered - np.repeat(means, sizes, axis=0)
     cross = centered[:, :, None] * centered[:, None, :]
-    cov = np.add.reduceat(cross, partition.offsets[:-1], axis=0)
+    cov = np.add.reduceat(cross, offsets[:-1], axis=0)
     cov /= (sizes - 1)[:, None, None]
     eigval, eigvec = np.linalg.eigh(cov / sizes[:, None, None])
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
@@ -376,6 +421,20 @@ class TestSoChooseBins:
         assert so_choose_bins(sample, 0, threshold=0.1, n_mc=100, seed=1)[0] == 200
         assert calls == [200]
 
+    def test_candidates_with_a_one_row_bin_do_not_qualify(self, monkeypatch):
+        # a run of 98 ties between two distinct ends: every count above one
+        # moves its edges to the ends of the run, leaving a one-row bin
+        phi = np.concatenate([[-1.0], np.zeros(98), [1.0]])
+        sample = make_sample(np.random.default_rng(7).normal(size=(100, 2)), phi=phi)
+        with pytest.raises(ValueError, match="within-bin variance"):
+            so_bias(sample, 0, 2, n_mc=20)
+        calls = self._count_bias_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, bias = so_choose_bins(sample, 0, threshold=10.0, n_mc=20, seed=1)
+        assert (m, bias) == (1, so_bias(sample, 0, 1, n_mc=20, seed=[1, 1]))
+        assert calls == [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
+
     def test_fallback_scans_every_candidate(self, monkeypatch):
         calls = self._count_bias_calls(monkeypatch)
         sample = _equal_mean_sample(400)
@@ -406,7 +465,34 @@ def _so_choose_bins_reference(sample, p, threshold, n_mc, seed):
     return best, biases[best]
 
 
+def _rounded_phi_sample():
+    """Linear-Gaussian, 3000 rows, phi rounded to 0.1: about 60 distinct values."""
+    base = generate_psa(LinearGaussianSpec(a=-0.3), 3_000, seed=14)
+    return PsaSample(
+        base.param_names,
+        np.column_stack([np.round(base.params[:, 0], 1), base.params[:, 1]]),
+        nb=base.nb,
+    )
+
+
 class TestParameterTies:
+    def test_so_row_order_within_ties_does_not_matter(self):
+        # 30 equal-count bins put most edges inside a tie
+        sample = _rounded_phi_sample()
+        est = so_evppi(sample, 0, 30)
+        chosen = so_choose_bins(sample, 0, n_mc=200, seed=4)
+        assert est.diagnostics["bins"] < 30
+        for seed in range(4):
+            shuffled = sample.take(np.random.default_rng(seed).permutation(3_000))
+            other = so_evppi(shuffled, 0, 30)
+            # the same rows, summed in another order within each tie
+            assert other.value == pytest.approx(est.value, rel=1e-12)
+            assert other.diagnostics["bins"] == est.diagnostics["bins"]
+            assert other.diagnostics["bin_argmax"] == est.diagnostics["bin_argmax"]
+            n_bins, bias = so_choose_bins(shuffled, 0, n_mc=200, seed=4)
+            assert n_bins == chosen[0]
+            assert bias == pytest.approx(chosen[1], rel=1e-9)
+
     @pytest.mark.parametrize(
         "estimate",
         [
@@ -636,12 +722,7 @@ class TestSadEvppi:
     def test_row_order_within_ties_does_not_matter(self, n_cuts):
         # about 60 distinct values over 3000 rows: every cut would fall
         # inside a tie if it were allowed to
-        base = generate_psa(LinearGaussianSpec(a=-0.3), 3_000, seed=14)
-        sample = PsaSample(
-            base.param_names,
-            np.column_stack([np.round(base.params[:, 0], 1), base.params[:, 1]]),
-            nb=base.nb,
-        )
+        sample = _rounded_phi_sample()
         est = sad_evppi(sample, 0, n_cuts)
         phi_sorted = np.sort(sample.params[:, 0])
         for c in est.diagnostics["cut_ranks"]:
