@@ -117,8 +117,12 @@ def _interactions_flag(choice: str) -> bool | None:
     return {"auto": None, "none": False, "pairwise": True}[choice]
 
 
-def _parse_changes(raw: str | None, names: list[str]) -> dict[str, int]:
-    """--changes accepts a single count or name=count pairs."""
+def _parse_changes(raw: str | None, names: list[str], param_names) -> dict[str, int]:
+    """--changes accepts a single count or name=count pairs.
+
+    A pair must name one of the sample's parameters (``param_names``), and
+    at most once.
+    """
     if raw is None:
         return {}
     raw = raw.strip()
@@ -132,6 +136,13 @@ def _parse_changes(raw: str | None, names: list[str]) -> dict[str, int]:
     for item in raw.split(","):
         name, _, val = item.partition("=")
         name = name.strip()
+        if name in out:
+            raise _UsageError(f"--changes gives {name!r} twice")
+        if name not in param_names:
+            raise _UsageError(
+                f"--changes names {name!r}, which is not one of the sample's parameters; "
+                f"available: {list(param_names)}"
+            )
         try:
             out[name] = int(val)
         except ValueError:
@@ -191,7 +202,7 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
                 "judgment call read off the visual tool and is never defaulted"
             )
         p = _single_param_index(sample, names, "sad")
-        changes = _parse_changes(args.changes, names).get(names[0])
+        changes = _parse_changes(args.changes, names, sample.param_names).get(names[0])
         if changes is None:
             raise _UsageError(f"--changes does not cover parameter {names[0]!r}")
         if changes == 0:
@@ -220,6 +231,7 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
 def cmd_evppi(args) -> int:
     sample = read_psa_csv(args.file, k=_wtp(args))
     names = _split_params(args.params)
+    _parse_changes(args.changes, names, sample.param_names)  # fail fast
     estimate, notes = _estimate_for_method(sample, args.method, names, args)
     payload = {
         "subset": names,
@@ -247,7 +259,7 @@ def _compare_cell(sample, method, names, args, model=None):
         if method in ("SO", "SAD") and len(names) != 1:
             return {"error": "single-parameter method"}
         if method == "SAD":
-            changes = _parse_changes(args.changes, names)
+            changes = _parse_changes(args.changes, names, sample.param_names)
             if names[0] not in changes:
                 return {"error": "changes not provided"}
         est, _ = _estimate_for_method(sample, method.lower(), names, args)
@@ -275,6 +287,7 @@ def cmd_compare(args) -> int:
     subsets = [_split_params(chunk) for chunk in args.params.split(";")]
     for names in subsets:
         ParamSubset.from_names(names, sample.param_names)  # fail fast on unknown names
+    _parse_changes(args.changes, [], sample.param_names)  # fail fast
 
     methods = list(METHOD_ORDER) if model is not None else [
         m for m in METHOD_ORDER if m != "MC"
@@ -342,6 +355,7 @@ def cmd_sweep(args) -> int:
             "so net benefit cannot be rebuilt across the grid"
         )
     subsets = [_split_params(chunk) for chunk in args.params.split(";")]
+    _parse_changes(args.changes, [], sample.param_names)  # fail fast
     grid = _k_grid(args)
 
     evpi_curve = []

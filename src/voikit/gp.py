@@ -4,7 +4,13 @@ Zero-mean GP on standardized inputs and centered response with a
 squared-exponential kernel (one length scale per dimension) and a nugget
 absorbing the conditional-expectation residual.  Hyperparameters maximise
 the exact log marginal likelihood on a seeded subsample of at most 500
-rows, which bounds the cubic factorisation cost.
+rows, which bounds the cubic factorisation cost.  The search runs up to
+``N_RESTARTS`` L-BFGS-B restarts in order and stops at the first one that
+ends on the best optimum found so far: on a well-identified column every
+restart reaches the same optimum, so a repeat is all the extra restarts
+would show.  A constant column (such as the all-zero contrast of the
+reference arm, see :func:`voikit.regression.fit_regression`) is fitted by
+its mean with no search.
 
 The posterior mean at all S inputs is a subset-of-regressors fit, so every
 row informs it through its cross-covariances with a set of inducing
@@ -41,6 +47,9 @@ __all__ = ["GpHyperparameters", "gp_fit_detail"]
 
 N_HYPER_ROWS = 500
 N_RESTARTS = 5
+# Restarts whose negative log marginal likelihoods differ by at most this,
+# relative to max(1, |value|), have reached the same optimum.
+SAME_OPTIMUM_TOL = 1e-6
 JITTER_FACTOR = 1e-8
 _PREDICT_CHUNK = 4096
 # Kernel exponents are clamped here: np.exp leaves its fast path below about
@@ -187,8 +196,27 @@ class _MarginalLikelihood:
         return nlml, grad
 
 
+def _same_optimum(fun: float, best_fun: float) -> bool:
+    """Whether a restart's end value matches ``best_fun`` to within
+    ``SAME_OPTIMUM_TOL`` relative (absolute below 1 nat)."""
+    return abs(fun - best_fun) <= SAME_OPTIMUM_TOL * max(1.0, abs(best_fun))
+
+
 def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-    """Multi-start L-BFGS-B ascent of the log marginal likelihood."""
+    """Multi-start L-BFGS-B ascent of the log marginal likelihood.
+
+    Returns the log-parameters and the search record.  All ``N_RESTARTS``
+    starts are drawn before the first one runs, so the random stream does
+    not depend on how many run.  They run in order, and the search stops at
+    the first restart that ends on the best optimum found so far (see
+    :func:`_same_optimum`), keeping the lower of the two; a restart that
+    raises or ends non-finite is skipped and never matches.  A second
+    restart reaching the same optimum from elsewhere is taken as evidence
+    that the optimum is the global one.  The record says how many restarts
+    ran (``restarts_run``) and how many of them ended on the chosen
+    optimum (``restarts_at_best``).  When none ends finite, the median
+    heuristic stands in (``fallback_median_heuristic``).
+    """
     d = x.shape[1]
     objective = _MarginalLikelihood(x, y)
     ls0 = objective.median_heuristic()
@@ -213,6 +241,7 @@ def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, rng: np.random.Generator)
     hi = np.array([b[1] for b in bounds])
 
     best = None
+    ends: list[float] = []  # each run restart's end value, nan where it failed
     for theta0 in starts:
         try:
             res = minimize(
@@ -224,11 +253,15 @@ def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, rng: np.random.Generator)
                 options={"maxiter": 60, "maxfun": 80},
             )
         except (np.linalg.LinAlgError, ValueError):
+            res = None
+        ends.append(math.nan if res is None else float(res.fun))
+        if not math.isfinite(ends[-1]):
             continue
-        if not np.isfinite(res.fun):
-            continue
+        repeated = best is not None and _same_optimum(res.fun, best.fun)
         if best is None or res.fun < best.fun:
             best = res
+        if repeated:
+            break
 
     if best is None:
         warnings.warn(
@@ -239,9 +272,17 @@ def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, rng: np.random.Generator)
             [np.log(ls0), [log_sf0, math.log(max(0.5 * var_y, 1e-6))]]
         )
         nlml, _ = objective(theta)
-        return theta, -nlml, True
-
-    return best.x, -float(best.fun), False
+        lml, fallback, at_best = -nlml, True, 0
+    else:
+        theta = best.x
+        lml, fallback = -float(best.fun), False
+        at_best = sum(_same_optimum(f, best.fun) for f in ends)
+    return theta, {
+        "log_marginal_likelihood": lml,
+        "fallback_median_heuristic": fallback,
+        "restarts_run": len(ends),
+        "restarts_at_best": at_best,
+    }
 
 
 def _posterior_mean(
@@ -307,7 +348,11 @@ def gp_fit_detail(
 
     Deterministic given (sample, subset, seed).  Supplying
     ``hyperparameters`` skips the marginal-likelihood search and fits with
-    the given kernel.
+    the given kernel.  A searched fit's record also carries the search
+    record of :func:`_fit_hyperparameters` (``restarts_run``,
+    ``restarts_at_best``); a fixed-kernel record reports no log marginal
+    likelihood and no restarts, and a constant column's record says
+    ``constant_response`` only.
     """
     x = _standardized_params(sample, subset)
     if not 0 <= t < sample.n_treatments:
@@ -327,12 +372,9 @@ def gp_fit_detail(
     perm = rng.permutation(n_rows)
     subsample = np.sort(perm[: min(n_rows, N_HYPER_ROWS)])
 
-    fallback = False
-    lml_report = None
+    search = {"log_marginal_likelihood": None, "fallback_median_heuristic": False}
     if hyperparameters is None:
-        theta, lml_report, fallback = _fit_hyperparameters(
-            x[subsample], y[subsample], rng
-        )
+        theta, search = _fit_hyperparameters(x[subsample], y[subsample], rng)
         d = x.shape[1]
         ls = np.exp(theta[:d])
         sf2 = math.exp(theta[d])
@@ -355,10 +397,9 @@ def gp_fit_detail(
         "signal_var": float(sf2 * y_sd**2),
         "noise_var": float(sn2 * y_sd**2),
         "residual_var": float(sn2 * y_sd**2),
-        "log_marginal_likelihood": lml_report,
         "n_hyper_rows": int(subsample.size),
         "n_inducing": int(n_inducing),
-        "fallback_median_heuristic": fallback,
+        **search,
     }
     return fitted, info
 

@@ -298,6 +298,23 @@ class PsaSample:
         object.__setattr__(out, "_orders", self._orders)  # same params, same orders
         return out
 
+    def _with_nb(self, nb: np.ndarray) -> "PsaSample":
+        """The same parameter draws with net benefit ``nb`` (S x T) and no
+        effect or cost matrices.
+
+        The copy shares this sample's frozen parameter matrix and sort
+        orders instead of copying them; ``nb`` is taken over and frozen.
+        """
+        nb.flags.writeable = False
+        out = object.__new__(PsaSample)
+        for name, value in (
+            ("param_names", self.param_names), ("params", self.params), ("nb", nb),
+            ("effects", None), ("costs", None), ("k", self.k),
+            ("treatment_names", self.treatment_names), ("_orders", self._orders),
+        ):
+            object.__setattr__(out, name, value)
+        return out
+
 
 def _standardized_params(sample: PsaSample, subset: ParamSubset) -> np.ndarray:
     """The subset's parameter columns, each shifted to mean 0 and scaled to

@@ -1,11 +1,12 @@
 """Regression-based EVPPI: plug-in value of fitted conditional means, plus
 bootstrap standard errors shared by all sample-based estimators.
 
-The estimate is the full-information formula applied to the per-treatment
-fitted values: mean over simulations of the best fitted net benefit minus
-the best mean fitted net benefit.  Smoothing is delegated to
-:mod:`voikit.gam` and :mod:`voikit.gp`; this module packages their output
-and quantifies sampling uncertainty by resampling simulation rows.
+The estimate is the full-information formula applied to the fitted
+contrasts against the first treatment: mean over simulations of the best
+fitted contrast (0 for the first treatment) minus the best mean fitted
+contrast.  Smoothing is delegated to :mod:`voikit.gam` and :mod:`voikit.gp`;
+this module packages their output and quantifies sampling uncertainty by
+resampling simulation rows.
 """
 
 from __future__ import annotations
@@ -57,8 +58,16 @@ def fit_regression(
     interactions: bool | None = None,
     gp_hyperparameters: tuple[GpHyperparameters, ...] | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
-    """Fitted values of every treatment column (S x T) and one smoother
-    record per column.
+    """Fitted contrasts against the first treatment column (S x T) and one
+    smoother record per column.
+
+    Column t regresses nb_t - nb_0 (Strong, Oakley & Brennan, *MDM* 2014).
+    Column 0 is then identically zero: both smoothers fit it by its mean
+    (a ``constant_response`` record) without a search, and the plug-in
+    value of the result is mean max(0, g_1, ...) - max(0, mean g_1, ...).
+    A net-benefit term common to every arm drops out before smoothing, so
+    it cannot move the estimate.  The contrast shares the sample's
+    parameter matrix.
 
     GAM fits all columns in one call on one shared spline basis; GP fits
     one column at a time.
@@ -70,11 +79,12 @@ def fit_regression(
     method = method.lower()
     if method not in ("gam", "gp"):
         raise ValueError(f"method must be 'gam' or 'gp', got {method!r}")
+    contrast = sample._with_nb(sample.nb - sample.nb[:, :1])
     if method == "gam":
-        return gam_fit_detail(sample, subset, interactions=interactions)
+        return gam_fit_detail(contrast, subset, interactions=interactions)
     fits = [
         gp_fit_detail(
-            sample, subset, t, seed=seed,
+            contrast, subset, t, seed=seed,
             hyperparameters=None if gp_hyperparameters is None else gp_hyperparameters[t],
         )
         for t in range(sample.n_treatments)

@@ -568,6 +568,27 @@ class TestUsageErrors:
             f"got {float(fraction)}\n"
         )
 
+    def test_changes_naming_a_parameter_twice_is_rejected(self, capsys, toy_csv):
+        rc, out, err = _run(capsys, [
+            "evppi", "--file", toy_csv, "--method", "sad", "--params", "risk_reduction",
+            "--changes", "risk_reduction=1,risk_reduction=2",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == "voikit: error: --changes gives 'risk_reduction' twice\n"
+
+    def test_changes_naming_an_unknown_parameter_is_rejected(self, capsys, toy_csv):
+        rc, out, err = _run(capsys, [
+            "compare", "--file", toy_csv, "--params", "risk_reduction;p_infection",
+            "--changes", "risk_reduction=1,p_infectoin=1", "--bootstrap", "0",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(
+            "voikit: error: --changes names 'p_infectoin', which is not one of "
+            "the sample's parameters; available: ["
+        )
+
     def test_relative_cap_needs_positive_evpi(self, capsys, tmp_path):
         # arm 1 is best in every row, so the EVPI and any fraction of it are 0
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 """GP smoothing: posterior-mean algebra, limits, and fit oracles."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from voikit import (
     generate_psa,
     gp_fit_detail,
 )
-from voikit.gp import JITTER_FACTOR, N_HYPER_ROWS, _kernel
+from voikit.gp import JITTER_FACTOR, N_HYPER_ROWS, N_RESTARTS, _kernel
 
 from conftest import make_sample
 
@@ -264,3 +265,85 @@ def test_posterior_memory_bounded_at_large_sample(length_scale):
     finally:
         tracemalloc.stop()
     assert peak <= 32e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _scripted_minimize(ends):
+    """A stand-in for ``gp.minimize`` whose i-th call ends at ``ends[i]``
+    (raised when it is an exception), at its start point."""
+    starts = []
+
+    def scripted(objective, theta0, **kwargs):
+        starts.append(np.array(theta0))
+        end = ends[len(starts) - 1]
+        if isinstance(end, Exception):
+            raise end
+        return SimpleNamespace(x=np.array(theta0), fun=end)
+
+    return scripted, starts
+
+
+@pytest.mark.parametrize("ends, run, at_best, chosen", [
+    # the second restart repeats the first optimum: keep the lower, stop
+    ([100.0, 100.00005, 1.0, 1.0, 1.0], 2, 2, 0),
+    ([100.00005, 100.0, 1.0, 1.0, 1.0], 2, 2, 1),
+    # a repeat of an optimum that is not the best so far does not stop it
+    ([100.0, 90.0, 100.00001, 90.00001, 1.0], 4, 2, 1),
+    # no repeat: all five run and the lowest wins
+    ([100.0, 90.0, 80.0, 95.0, 85.0], 5, 1, 2),
+    # below 1 nat the tolerance is absolute
+    ([0.5, 0.5000009, 0.1, 0.1, 0.1], 2, 2, 0),
+    # a restart that raises or ends non-finite is skipped and never matches
+    ([ValueError("synthetic"), np.inf, 50.0, np.nan, 50.00001], 5, 2, 2),
+    ([np.linalg.LinAlgError("synthetic"), 50.0, np.inf, np.inf, 40.0], 5, 1, 4),
+])
+def test_search_stops_once_its_best_optimum_repeats(monkeypatch, ends, run, at_best, chosen):
+    import voikit.gp as gp_mod
+
+    scripted, starts = _scripted_minimize(ends)
+    monkeypatch.setattr(gp_mod, "minimize", scripted)
+    sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
+    _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
+    assert len(starts) == info["restarts_run"] == run
+    assert info["restarts_at_best"] == at_best
+    assert info["log_marginal_likelihood"] == -ends[chosen]
+    assert info["length_scales"] == [float(np.exp(starts[chosen][0]))]
+    assert info["fallback_median_heuristic"] is False
+
+
+def test_search_record_when_every_restart_fails(monkeypatch):
+    import voikit.gp as gp_mod
+
+    scripted, starts = _scripted_minimize([np.inf, ValueError("synthetic"), np.nan] * 2)
+    monkeypatch.setattr(gp_mod, "minimize", scripted)
+    sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
+    with pytest.warns(UserWarning, match="median-heuristic"):
+        _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
+    assert len(starts) == info["restarts_run"] == 5
+    assert info["restarts_at_best"] == 0
+    assert info["fallback_median_heuristic"] is True
+
+
+def test_restart_count_does_not_move_the_random_stream(monkeypatch):
+    # every start is drawn before the first restart runs, so the subsample
+    # and the starts are the same however early the search stops
+    import voikit.gp as gp_mod
+
+    sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
+    seen = []
+    for ends in ([1.0] * 5, [5.0, 4.0, 3.0, 2.0, 1.0]):
+        scripted, starts = _scripted_minimize(ends)
+        monkeypatch.setattr(gp_mod, "minimize", scripted)
+        gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
+        seen.append(starts)
+    assert len(seen[0]) == 2 and len(seen[1]) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(seen[0], seen[1]))
+
+
+def test_only_searched_records_count_restarts(lin_sample):
+    _, searched = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, seed=3)
+    assert 1 <= searched["restarts_at_best"] <= searched["restarts_run"] <= N_RESTARTS
+    hp = GpHyperparameters(length_scales=(1.0,), signal_var=2.0, noise_var=1.0)
+    _, fixed = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, hyperparameters=hp)
+    _, constant = gp_fit_detail(lin_sample, ParamSubset.of(0), 0, seed=3)
+    for info in (fixed, constant):
+        assert "restarts_run" not in info and "restarts_at_best" not in info

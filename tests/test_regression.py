@@ -1,5 +1,6 @@
 """Plug-in regression EVPPI and the shared bootstrap machinery."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,14 +10,18 @@ from voikit import (
     BootstrapConfig,
     EstimationError,
     LinearGaussianSpec,
+    NonlinearToySpec,
     ParamSubset,
+    PsaSample,
     bootstrap_estimates,
     bootstrap_se,
     evpi,
     fit_regression,
     gam_evppi,
+    gam_fit_detail,
     generate_psa,
     gp_evppi,
+    gp_fit_detail,
     linear_gaussian_oracle,
     regression_evppi,
     so_evppi,
@@ -238,3 +243,81 @@ class TestEstimatorFrontEnds:
         cap = 0.05 * evpi(sample.nb)
         assert gam_evppi(with_noise, ParamSubset.of(2)).value <= cap
         assert gp_evppi(with_noise, ParamSubset.of(2), seed=3).value <= cap
+
+
+class TestContrastTarget:
+    """Both smoothers regress nb_t - nb_0, so the estimate is a function of
+    the contrasts alone."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _toy(seed):
+        return generate_psa(NonlinearToySpec(), 3_000, seed=seed)
+
+    @staticmethod
+    def _value(sample, method):
+        subset = ParamSubset.from_names(["risk_reduction"], sample.param_names)
+        return regression_evppi(
+            fit_regression(sample, subset, method=method, seed=3), method.upper()
+        ).value
+
+    @pytest.mark.parametrize("method", ["gam", "gp"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_common_shift_leaves_estimate_unchanged(self, method, seed):
+        # g depends on parameters outside the subset and moves every arm
+        # alike, so it changes no decision
+        sample = self._toy(seed)
+        names = sample.param_names
+        g = (
+            300.0 * sample.params[:, names.index("p_complication")]
+            + 0.05 * sample.params[:, names.index("cost_complication")]
+        )
+        shifted = PsaSample(names, sample.params, nb=sample.nb + g[:, None])
+        assert self._value(shifted, method) == pytest.approx(
+            self._value(sample, method), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("method", ["gam", "gp"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_swapping_arms_leaves_estimate_unchanged(self, method, seed):
+        sample = self._toy(seed)
+        swapped = PsaSample(sample.param_names, sample.params, nb=sample.nb[:, ::-1])
+        assert self._value(swapped, method) == pytest.approx(
+            self._value(sample, method), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("indices", [(0,), (0, 1)])
+    def test_linear_gaussian_fits_equal_raw_column_fits(self, lin_sample, indices):
+        # the reference arm is identically zero, so each contrast is its
+        # raw column bit for bit
+        assert np.all(lin_sample.nb[:, 0] == 0.0)
+        subset = ParamSubset(indices)
+        raw_gp = [gp_fit_detail(lin_sample, subset, t, seed=3) for t in range(2)]
+        raw = {
+            "gam": gam_fit_detail(lin_sample, subset),
+            "gp": (
+                np.column_stack([col for col, _ in raw_gp]),
+                [info for _, info in raw_gp],
+            ),
+        }
+        for method, (raw_fitted, raw_records) in raw.items():
+            fit = fit_regression(lin_sample, subset, method=method, seed=3)
+            assert np.array_equal(fit[0], raw_fitted), method
+            assert fit[1] == raw_records, method
+            assert (
+                regression_evppi(fit, "GP").value
+                == regression_evppi((raw_fitted, raw_records), "GP").value
+            )
+
+    def test_toy_contrast_search_runs_two_restarts(self):
+        sample = generate_psa(NonlinearToySpec(), 2_000, seed=3)
+        subset = ParamSubset.from_names(["risk_reduction"], sample.param_names)
+        _, (reference, contrast) = fit_regression(sample, subset, method="gp", seed=3)
+        assert reference == {"constant_response": True, "residual_var": 0.0}
+        assert contrast["restarts_run"] == contrast["restarts_at_best"] == 2
+
+    def test_contrast_shares_the_parameter_matrix(self, lin_sample):
+        contrast = lin_sample._with_nb(lin_sample.nb - lin_sample.nb[:, :1])
+        assert contrast.params is lin_sample.params
+        assert contrast.param_order(0) is lin_sample.param_order(0)
+        assert not contrast.nb.flags.writeable
