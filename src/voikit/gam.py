@@ -17,12 +17,20 @@ every smoothing level at once, so each GCV score costs O(p) for p basis
 functions instead of a Cholesky factorization, and every column is scored
 on the whole grid in one array pass.
 
-scipy is imported inside the functions that call it, so importing voikit
-(and running a command that fits no spline) does not load it.
+The S x p design is never held whole.  Each row's four nonzero cubic
+B-splines come from the Cox-de Boor recursion, and the design's column
+sums, X'X, X'y and the fitted values are formed over blocks of
+``_CHUNK_ROWS`` rows; beyond the S x T response and fitted values, a fit's
+memory does not grow with S.
+
+A fit calls numpy only.  scipy bundles its own OpenBLAS, and a fit that
+alternated numpy products with scipy's LAPACK woke the two libraries'
+thread pools in turn, which cost more than the arithmetic at S = 10^4.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +55,15 @@ _N_GRID = 321
 
 _GAUSS_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
+# Rows of the design formed at once: the raw design of a three-parameter
+# fit has 205 columns, 6.7 MB per chunk.
+_CHUNK_ROWS = 4096
+
+
+def _row_chunks(n_rows: int):
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        yield slice(start, min(start + _CHUNK_ROWS, n_rows))
+
 
 def _quantile_breakpoints(x: np.ndarray, n_breakpoints: int) -> np.ndarray:
     bp = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_breakpoints)))
@@ -68,33 +85,59 @@ class _Basis:
         knots = np.concatenate([[bp[0]] * _DEGREE, bp, [bp[-1]] * _DEGREE])
         return cls(knots=knots, n_funcs=len(knots) - _DEGREE - 1)
 
-    def design(self, x: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import BSpline
+    def fill(self, out: np.ndarray, x: np.ndarray, degree: int = _DEGREE) -> None:
+        """Write the B-splines of ``degree`` on the knots at every x, clipped
+        to the breakpoints, into the zeroed ``out``: one row per function,
+        one column per x.
 
-        lo, hi = self.knots[_DEGREE], self.knots[-_DEGREE - 1]
-        return BSpline.design_matrix(
-            np.clip(x, lo, hi), self.knots, _DEGREE
-        ).toarray()
+        Only degree + 1 of them can be nonzero at x: those the Cox-de Boor
+        recursion builds over x's interval t_k <= x < t_(k+1) (the last
+        interval is closed).  Every denominator spans that interval, so
+        none is zero.
+        """
+        t = self.knots
+        x = np.clip(x, t[_DEGREE], t[-_DEGREE - 1])
+        k = np.clip(np.searchsorted(t, x, side="right") - 1, _DEGREE, self.n_funcs - 1)
+        left = [x - t[k - j] for j in range(degree)]
+        right = [t[k + 1 + j] - x for j in range(degree)]
+        values = [np.ones_like(x)]
+        for j in range(1, degree + 1):
+            saved = np.zeros_like(x)
+            raised = []
+            for r in range(j):
+                temp = values[r] / (right[r] + left[j - r - 1])
+                raised.append(saved + right[r] * temp)
+                saved = left[j - r - 1] * temp
+            raised.append(saved)
+            values = raised
+        cols = np.arange(x.size)
+        for j, v in enumerate(values):
+            out[k - degree + j, cols] = v
 
     def curvature_penalty(self) -> np.ndarray:
         """Gram matrix of basis second derivatives.
 
-        The second derivative of a cubic B-spline is piecewise linear, so a
-        two-point Gauss rule per breakpoint interval integrates the products
-        exactly.  Linear functions lie in the null space.
+        Differencing the coefficients twice (de Boor's derivative formula)
+        writes every basis function's second derivative in the linear
+        B-splines on the knots less two at each end, so it is piecewise
+        linear, and a two-point Gauss rule per breakpoint interval
+        integrates the products exactly.  Linear functions lie in the null
+        space.
         """
-        from scipy.interpolate import BSpline
-
-        bp = self.knots[_DEGREE : len(self.knots) - _DEGREE]
-        spl2 = BSpline(self.knots, np.eye(self.n_funcs), _DEGREE).derivative(2)
+        t = self.knots
+        coef = np.eye(self.n_funcs)
+        knots = t
+        for k in (_DEGREE, _DEGREE - 1):
+            coef = (coef[1:] - coef[:-1]) * k / (knots[k + 1 : -1] - knots[1 : -k - 1])[:, None]
+            knots = knots[1:-1]
+        bp = t[_DEGREE : len(t) - _DEGREE]
+        halves = 0.5 * (bp[1:] - bp[:-1])
+        nodes = 0.5 * (bp[:-1] + bp[1:])[:, None] + halves[:, None] * _GAUSS_NODES
+        hats = np.zeros((len(t) - 2, nodes.size))
+        self.fill(hats, nodes.ravel(), 1)
+        second = (hats[2:-2].T @ coef).reshape(len(halves), _GAUSS_NODES.size, -1)
         pen = np.zeros((self.n_funcs, self.n_funcs))
-        for a, b in zip(bp[:-1], bp[1:]):
-            if b <= a:
-                continue
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            nodes = mid + half * _GAUSS_NODES
-            vals = spl2(nodes)
+        for half, vals in zip(halves, second):
             pen += half * (vals.T @ vals)
         return pen
 
@@ -104,8 +147,9 @@ def _normalized(pen: np.ndarray) -> np.ndarray:
     return pen / scale if scale > 0 else pen
 
 
-def _sum_to_zero(block: np.ndarray, penalty: np.ndarray):
-    """Reparameterize a smooth block so its fitted values sum to zero.
+def _sum_to_zero(column_means: np.ndarray) -> np.ndarray:
+    """Reparameterization Z that makes a smooth block's fitted values sum
+    to zero: the block B becomes B Z and its penalty Z' P Z.
 
     B-spline bases contain the constant function (partition of unity), so a
     raw block is exactly collinear with the intercept AND that direction is
@@ -114,55 +158,136 @@ def _sum_to_zero(block: np.ndarray, penalty: np.ndarray):
     sum-of-fitted-values direction removes the redundancy while keeping
     (centered) linear functions representable and penalty-free.
     """
-    d = block.sum(axis=0)
-    q = np.linalg.qr(d[:, None], mode="complete")[0]
-    z = q[:, 1:]
-    return block @ z, z.T @ penalty @ z
+    return np.linalg.qr(column_means[:, None], mode="complete")[0][:, 1:]
 
 
-def _build_design(phi: np.ndarray, interactions: bool):
-    """Design matrix and matching block-diagonal penalty.
-
-    Column 0 is the intercept; every smooth block is constrained to
-    zero-sum fitted values so the constant lives only in the intercept.
-    """
-    n_rows, n_dims = phi.shape
-    columns = [np.ones((n_rows, 1))]
-    penalties = [np.zeros((1, 1))]
-
-    for d in range(n_dims):
-        basis = _Basis.from_data(phi[:, d], _N_BREAKPOINTS)
-        block, pen = _sum_to_zero(
-            basis.design(phi[:, d]), _normalized(basis.curvature_penalty())
-        )
-        columns.append(block)
-        penalties.append(pen)
-
-    if interactions and n_dims >= 2:
-        for i in range(n_dims):
-            for j in range(i + 1, n_dims):
-                bi = _Basis.from_data(phi[:, i], _N_BREAKPOINTS_TENSOR)
-                bj = _Basis.from_data(phi[:, j], _N_BREAKPOINTS_TENSOR)
-                left = bi.design(phi[:, i])
-                right = bj.design(phi[:, j])
-                left = left - left.mean(axis=0)
-                right = right - right.mean(axis=0)
-                block = np.einsum("si,sj->sij", left, right).reshape(n_rows, -1)
-                columns.append(block - block.mean(axis=0))
-                pi = _normalized(bi.curvature_penalty())
-                pj = _normalized(bj.curvature_penalty())
-                pen = np.kron(pi, np.eye(bj.n_funcs)) + np.kron(np.eye(bi.n_funcs), pj)
-                penalties.append(pen + _TENSOR_RIDGE * np.eye(pen.shape[0]))
-
-    design = np.hstack(columns)
-    n_cols = design.shape[1]
-    penalty = np.zeros((n_cols, n_cols))
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
     at = 0
-    for block_pen in penalties:
-        w = block_pen.shape[0]
-        penalty[at : at + w, at : at + w] = block_pen
+    for b in blocks:
+        w = b.shape[0]
+        out[at : at + w, at : at + w] = b
         at += w
-    return design, penalty
+    return out
+
+
+@dataclass(frozen=True)
+class _RawDesign:
+    """The spline design before its constraints, formed for any block of
+    rows.
+
+    Its columns are the intercept, every main-effect B-spline and, with
+    interactions, every B-spline of the reduced tensor-marginal bases and
+    the row-wise products of each pair of marginals.  The fitted design is
+    ``raw @ transform`` (:meth:`constraints`): column 0 is the intercept,
+    and every smooth block is constrained to zero-sum fitted values, so the
+    constant lives only in the intercept.  The constraints depend on the raw
+    column means alone, and those are row 0 of the raw Gram matrix, so a
+    single pass over the rows gives X'X and X'y.
+    """
+
+    mains: tuple[_Basis, ...]
+    marginals: tuple[_Basis, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def from_data(cls, phi: np.ndarray, interactions: bool) -> "_RawDesign":
+        n_dims = phi.shape[1]
+        pairs = tuple(itertools.combinations(range(n_dims), 2)) if interactions else ()
+        return cls(
+            mains=tuple(_Basis.from_data(phi[:, d], _N_BREAKPOINTS) for d in range(n_dims)),
+            marginals=tuple(
+                _Basis.from_data(phi[:, d], _N_BREAKPOINTS_TENSOR)
+                for d in range(n_dims if pairs else 0)
+            ),
+            pairs=pairs,
+        )
+
+    def layout(self):
+        """Raw-column slices of the main blocks, the marginals and the
+        pair products, and the raw column count."""
+        at = 1
+
+        def take(width):
+            nonlocal at
+            at += width
+            return slice(at - width, at)
+
+        mains = [take(b.n_funcs) for b in self.mains]
+        marginals = [take(b.n_funcs) for b in self.marginals]
+        products = [
+            take(self.marginals[i].n_funcs * self.marginals[j].n_funcs) for i, j in self.pairs
+        ]
+        return mains, marginals, products, at
+
+    def transposed(self, phi: np.ndarray) -> np.ndarray:
+        """The raw design at these rows, transposed (columns x rows), so
+        every elementwise product runs along the rows."""
+        mains, marginals, products, n_cols = self.layout()
+        out = np.zeros((n_cols, len(phi)))
+        out[0] = 1.0
+        for d, (basis, cols) in enumerate(zip(self.mains, mains)):
+            basis.fill(out[cols], phi[:, d])
+        for d, (basis, cols) in enumerate(zip(self.marginals, marginals)):
+            basis.fill(out[cols], phi[:, d])
+        for (i, j), cols in zip(self.pairs, products):
+            left, right = out[marginals[i]], out[marginals[j]]
+            np.multiply(
+                left[:, None], right[None], out=out[cols].reshape(len(left), len(right), -1)
+            )
+        return out
+
+    def constraints(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``transform`` (raw columns x fitted columns), from the raw column
+        means, and the fitted design's block-diagonal penalty.
+
+        A main block B becomes B Z (:func:`_sum_to_zero`).  A tensor block
+        is kron(l - mean l, r - mean r) less its mean, which is kron(l, r)
+        - kron(l, mean r) - kron(mean l, r) + 2 kron(mean l, mean r)
+        - mean kron(l, r) with l, r the pair's marginals.
+        """
+        mains, marginals, products, n_raw = self.layout()
+        zs = [_sum_to_zero(means[cols]) for cols in mains]
+        penalties = [np.zeros((1, 1))]
+        penalties += [z.T @ _normalized(b.curvature_penalty()) @ z for b, z in zip(self.mains, zs)]
+        for i, j in self.pairs:
+            pi = _normalized(self.marginals[i].curvature_penalty())
+            pj = _normalized(self.marginals[j].curvature_penalty())
+            pen = np.kron(pi, np.eye(len(pj))) + np.kron(np.eye(len(pi)), pj)
+            penalties.append(pen + _TENSOR_RIDGE * np.eye(pen.shape[0]))
+
+        transform = np.zeros((n_raw, sum(len(p) for p in penalties)))
+        transform[0, 0] = 1.0
+        at = 1
+        for cols, z in zip(mains, zs):
+            transform[cols, at : at + z.shape[1]] = z
+            at += z.shape[1]
+        for (i, j), cols in zip(self.pairs, products):
+            mean_l, mean_r = means[marginals[i]], means[marginals[j]]
+            fit = slice(at, at + cols.stop - cols.start)
+            transform[cols, fit] = np.eye(cols.stop - cols.start)
+            transform[marginals[i], fit] = -np.kron(np.eye(mean_l.size), mean_r)
+            transform[marginals[j], fit] = -np.kron(mean_l, np.eye(mean_r.size))
+            transform[0, fit] = 2.0 * np.kron(mean_l, mean_r) - means[cols]
+            at = fit.stop
+        return transform, _block_diagonal(penalties)
+
+
+def _normal_equations(raw: _RawDesign, phi: np.ndarray, yc: np.ndarray):
+    """The transform and penalty that define the fitted design X, with X'X
+    and X'yc, summed over row chunks of the raw design."""
+    n_raw = raw.layout()[-1]
+    gram = np.zeros((n_raw, n_raw))
+    raw_xty = np.zeros((n_raw, yc.shape[1]))
+    for rows in _row_chunks(len(phi)):
+        rt = raw.transposed(phi[rows])
+        gram += rt @ rt.T
+        raw_xty += rt @ yc[rows]
+    transform, penalty = raw.constraints(gram[0] / len(phi))
+    xtx = transform.T @ gram @ transform
+    # symmetric to the last bit, as X'X formed directly is
+    return transform, penalty, 0.5 * (xtx + xtx.T), transform.T @ raw_xty
 
 
 def _demmler_reinsch(xtx: np.ndarray, penalty: np.ndarray):
@@ -177,17 +302,19 @@ def _demmler_reinsch(xtx: np.ndarray, penalty: np.ndarray):
 
     at every lam.  ``xtx`` alone is singular for discrete parameters, so it
     is never factored on its own; the penalty term is what keeps
-    ``xtx + base * penalty`` positive definite.
+    ``xtx + base * penalty`` positive definite.  With its Cholesky factor
+    L L', the problem is the symmetric one L^-1 penalty L^-T w = nu w, and
+    V = L^-T W.
     """
-    from scipy.linalg import eigh
-
     base = np.trace(xtx) / max(np.trace(penalty), 1e-300)
     try:
-        _, vecs = eigh(penalty, xtx + base * penalty)
+        chol = np.linalg.cholesky(xtx + base * penalty)
     except np.linalg.LinAlgError:
         raise ValueError(
             "penalized design is rank-deficient for every smoothing level"
         ) from None
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, penalty).T)
+    vecs = np.linalg.solve(chol.T, np.linalg.eigh(reduced)[1])
     # Both diagonals are taken from V directly rather than as 1 - base * nu:
     # for directions xtx (nearly) annihilates, the subtraction would leave
     # rounding noise where mu should be small.
@@ -253,13 +380,13 @@ def gam_fit_detail(
     phi = _standardized_params(sample, subset)
     if interactions is None:
         interactions = _default_interactions(phi.shape[1])
-    design, penalty = _build_design(phi, interactions)
+    raw = _RawDesign.from_data(phi, interactions)
 
     y_mean = sample.nb.mean(axis=0)
     yc = sample.nb - y_mean
-    xtx = design.T @ design
+    transform, penalty, xtx, xty = _normal_equations(raw, phi, yc)
     grid, mu, nu, vecs = _demmler_reinsch(xtx, penalty)
-    coords = vecs.T @ (design.T @ yc)  # p x T spectral coordinates of X'y
+    coords = vecs.T @ xty  # p x T spectral coordinates of X'y
     c2 = coords**2
     yty = np.einsum("st,st->t", yc, yc)
     n_rows = sample.n_sims
@@ -271,7 +398,7 @@ def gam_fit_detail(
     lam = grid[best]
     shrink = 1.0 / (mu[:, None] + lam * nu[:, None])
     design_info = {
-        "n_columns": int(design.shape[1]),
+        "n_columns": int(penalty.shape[0]),
         "interactions": bool(interactions),
     }
     # a constant column scores 0 at every level, so its argmin chose nothing
@@ -288,6 +415,8 @@ def gam_fit_detail(
         }
         for t, b in enumerate(best)
     ]
-    fitted = design @ (vecs @ (shrink * coords)) + y_mean
+    raw_coef = transform @ (vecs @ (shrink * coords))
+    fitted = np.empty_like(yc)
+    for rows in _row_chunks(n_rows):
+        fitted[rows] = raw.transposed(phi[rows]).T @ raw_coef + y_mean
     return fitted, infos
-

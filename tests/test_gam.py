@@ -1,10 +1,20 @@
 """Penalized-spline smoothing: reproduction properties and fit oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
-from voikit import LinearGaussianSpec, ParamSubset, PsaSample, gam_fit_detail, generate_psa
+from voikit import (
+    LinearGaussianSpec,
+    NonlinearToySpec,
+    ParamSubset,
+    PsaSample,
+    gam_fit_detail,
+    generate_psa,
+)
 from voikit import gam
 from voikit.psa import _standardized_params
 
@@ -136,12 +146,34 @@ def test_detail_reports_gcv_and_edf(lin_sample):
 # -- shared basis and spectral GCV ------------------------------------------
 
 
+def _extended_cholesky_solve(m, b):
+    """Solve m x = b for symmetric positive definite m by a Cholesky
+    factorization in extended precision (np.longdouble)."""
+    low = np.zeros_like(m)
+    for j in range(len(m)):
+        low[j, j] = np.sqrt(m[j, j] - low[j, :j] @ low[j, :j])
+        low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    x = b.copy()
+    for j in range(len(m)):
+        x[j] = (x[j] - low[j, :j] @ x[:j]) / low[j, j]
+    for j in reversed(range(len(m))):
+        x[j] = (x[j] - low[j + 1 :, j] @ x[j + 1 :]) / low[j, j]
+    return x
+
+
 def _cholesky_gcv(lam, xtx, penalty, xty, yty, n_rows):
     """Reference GCV score and edf: one Cholesky solve of the penalized
-    normal equations per smoothing level."""
-    chol = cho_factor(xtx + lam * penalty, lower=True)
-    beta = cho_solve(chol, xty)
-    edf = float(np.trace(cho_solve(chol, xtx)))
+    normal equations per smoothing level.
+
+    The solve runs in extended precision.  In double precision its own
+    rounding error grows like eps * lam / base, the same order as the edf
+    tolerance below, and on about one sample in ten it exceeds it.
+    """
+    xtx, xty = xtx.astype(np.longdouble), xty.astype(np.longdouble)
+    m = xtx + np.longdouble(lam) * penalty.astype(np.longdouble)
+    sol = _extended_cholesky_solve(m, np.column_stack([xty, xtx]))
+    beta = sol[:, 0]
+    edf = float(np.trace(sol[:, 1:]))
     rss = max(float(yty - 2.0 * beta @ xty + beta @ (xtx @ beta)), 0.0)
     return n_rows * rss / (n_rows - edf) ** 2, edf
 
@@ -150,9 +182,11 @@ def _normal_equations(sample, subset, t, interactions=None):
     phi = _standardized_params(sample, subset)
     if interactions is None:
         interactions = gam._default_interactions(phi.shape[1])
-    design, penalty = gam._build_design(phi, interactions)
+    raw = gam._RawDesign.from_data(phi, interactions)
     yc = sample.nb[:, t] - sample.nb[:, t].mean()
-    return design, penalty, design.T @ design, design.T @ yc, float(yc @ yc)
+    transform, penalty, xtx, xty = gam._normal_equations(raw, phi, yc[:, None])
+    x = raw.transposed(phi).T @ transform
+    return x, penalty, xtx, xty[:, 0], float(yc @ yc)
 
 
 def _noisy_linear_gaussian(n_sims, seed):
@@ -313,3 +347,76 @@ def test_lambda_is_the_grid_argmin_of_the_cholesky_reference(subset):
         best, grid = _reference_grid_argmin(sample, ParamSubset(subset), t)
         assert info["lambda"] == grid[best], (t, best)
         assert info["lambda_at_grid_edge"] is (best in (0, grid.size - 1))
+
+
+# -- numpy basis against scipy's, row chunks, memory ------------------------
+
+
+def _basis_columns():
+    rng = np.random.default_rng(12)
+    return {
+        "continuous": rng.standard_normal(2_000),
+        "three levels": rng.integers(0, 3, 2_000).astype(float),
+    }
+
+
+@pytest.mark.parametrize("n_breakpoints", [gam._N_BREAKPOINTS, gam._N_BREAKPOINTS_TENSOR])
+@pytest.mark.parametrize("column", ["continuous", "three levels"])
+def test_basis_matches_scipy_design_matrix(column, n_breakpoints):
+    x = _basis_columns()[column]
+    basis = gam._Basis.from_data(x, n_breakpoints)
+    lo, hi = basis.knots[gam._DEGREE], basis.knots[-gam._DEGREE - 1]
+    # every breakpoint (both ends included) and rows beyond either end
+    points = np.concatenate([x, basis.knots, [lo - 3.0, lo - 1e-12, hi + 1e-12, hi + 3.0]])
+    ref = BSpline.design_matrix(np.clip(points, lo, hi), basis.knots, gam._DEGREE).toarray()
+    dense = np.zeros((basis.n_funcs, points.size))
+    basis.fill(dense, points)
+    assert np.max(np.abs(dense.T - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n_breakpoints", [gam._N_BREAKPOINTS, gam._N_BREAKPOINTS_TENSOR])
+@pytest.mark.parametrize("column", ["continuous", "three levels"])
+def test_curvature_penalty_is_the_gram_matrix_of_scipy_second_derivatives(
+    column, n_breakpoints
+):
+    basis = gam._Basis.from_data(_basis_columns()[column], n_breakpoints)
+    second = BSpline(basis.knots, np.eye(basis.n_funcs), gam._DEGREE).derivative(2)
+    # a three-point Gauss rule, not the module's two-point one: both are
+    # exact for the piecewise-quadratic products
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    bp = basis.knots[gam._DEGREE : -gam._DEGREE]
+    ref = np.zeros((basis.n_funcs, basis.n_funcs))
+    for a, b in zip(bp[:-1], bp[1:]):
+        half = 0.5 * (b - a)
+        vals = second(0.5 * (a + b) + half * nodes)
+        ref += half * (vals.T * weights) @ vals
+    pen = basis.curvature_penalty()
+    assert np.max(np.abs(pen - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_row_chunks_leave_the_fit_unchanged(monkeypatch):
+    n = 3 * gam._CHUNK_ROWS + 123
+    sample = generate_psa(NonlinearToySpec(), n, seed=13)
+    subset = ParamSubset.of(0, 1)
+    chunked, chunked_infos = gam_fit_detail(sample, subset)
+    monkeypatch.setattr(gam, "_CHUNK_ROWS", n)
+    whole, whole_infos = gam_fit_detail(sample, subset)
+    scale = np.max(np.abs(whole))
+    assert np.max(np.abs(chunked - whole)) <= 1e-12 * scale
+    for a, b in zip(chunked_infos, whole_infos):
+        # grid levels are 12% apart, so an equal lambda is the same argmin
+        assert a["lambda"] == pytest.approx(b["lambda"], rel=1e-9)
+        assert a["interactions"] is True and a["n_columns"] == b["n_columns"]
+
+
+def test_fit_memory_bounded_at_large_sample():
+    # no S x p design is held: the 2-d fit at 10^5 rows keeps its design to
+    # one row chunk, next to the S x T response and fitted values (1.6 MB each)
+    sample = generate_psa(LinearGaussianSpec(), 100_000, seed=2)
+    tracemalloc.start()
+    try:
+        gam_fit_detail(sample, ParamSubset.of(0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
