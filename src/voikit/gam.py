@@ -320,6 +320,12 @@ def _demmler_reinsch(xtx: np.ndarray, penalty: np.ndarray):
     # rounding noise where mu should be small.
     mu = np.einsum("ij,ij->j", vecs, xtx @ vecs)
     nu = np.einsum("ij,ij->j", vecs, penalty @ vecs)
+    # base * nu lies in [0, 1].  Functions the penalty does not curve
+    # (constants, linear terms) have nu = 0, but come out as rounding noise
+    # of order 1e-16 that the largest smoothing levels would magnify 1e8
+    # times, making the fit depend on the units of phi; every other
+    # direction measured sits above 5e-6.
+    nu[np.abs(base * nu) <= penalty.shape[0] * np.finfo(float).eps] = 0.0
     grid = base * np.logspace(-8.0, 8.0, _N_GRID)
     return grid, mu, nu, vecs
 

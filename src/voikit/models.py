@@ -9,17 +9,23 @@ Two families:
 * ``NonlinearToySpec`` - a small two-arm decision tree (infection risk,
   vaccination-style risk reduction, complications, costs and QALY losses)
   with mutually independent parameters, so exact conditional sampling is
-  just marginal sampling.
+  just marginal sampling.  Its net benefit is multilinear in those
+  parameters, so the conditional expected net benefit given a subset is
+  the net benefit with every other parameter at its mean; that makes its
+  oracle, :func:`brute_force_evppi`, a single pass over outer draws.
 
 Both expose the same generative capabilities (joint draws, conditional
 draws, net benefit) consumed by the nested Monte Carlo estimator, and both
 can emit a :class:`~voikit.psa.PsaSample` for the sample-based estimators.
+A spec whose fields cannot describe its distributions (a non-finite value,
+a non-positive shape, mean or normal sigma, a negative log-scale sigma)
+is rejected when it is built, with the field named.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -43,10 +49,6 @@ __all__ = [
 # Matches the analysis threshold the built-in toy model is tuned around.
 DEFAULT_WTP = 20000.0
 
-# Outer draws per vectorized block of the brute-force oracle; at 1000 inner
-# draws each, a block's parameter matrix holds about 13 MB.
-_BRUTE_FORCE_CHUNK = 200
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -67,6 +69,13 @@ def _expected_positive_part(m: float, s: float) -> float:
     return m * _norm_cdf(z) + s * _norm_pdf(z)
 
 
+def _require_finite(spec) -> None:
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearGaussianSpec:
     """Two-treatment model with NB0 = 0 and NB1 = a + b*phi + c*psi.
@@ -85,8 +94,10 @@ class LinearGaussianSpec:
     sigma_psi: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_phi <= 0 or self.sigma_psi <= 0:
-            raise ValueError("sigma_phi and sigma_psi must be > 0")
+        _require_finite(self)
+        for name in ("sigma_phi", "sigma_psi"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 def linear_gaussian_oracle(spec: LinearGaussianSpec, subset: str = "phi") -> float:
@@ -189,6 +200,7 @@ class NonlinearToySpec:
     qaly_complication_sigma: float = 0.3
 
     def __post_init__(self):
+        _require_finite(self)
         for name in (
             "infection_alpha", "infection_beta",
             "reduction_alpha", "reduction_beta",
@@ -198,6 +210,12 @@ class NonlinearToySpec:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        for name in (
+            "cost_treatment_sigma", "cost_complication_sigma", "cost_vaccine_sigma",
+            "qaly_infection_sigma", "qaly_complication_sigma",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 class NonlinearToyModel:
@@ -218,24 +236,42 @@ class NonlinearToyModel:
     def __init__(self, spec: NonlinearToySpec):
         self.spec = spec
 
-    def _draw_column(self, name: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _marginal(self, name: str) -> tuple[str, float, float]:
+        """A column's family and its two spec fields: ``("beta", alpha,
+        beta)`` or ``("lognormal", mean, log-scale sigma)``."""
         s = self.spec
-        if name == "p_infection":
-            return rng.beta(s.infection_alpha, s.infection_beta, size=n)
-        if name == "risk_reduction":
-            return rng.beta(s.reduction_alpha, s.reduction_beta, size=n)
-        if name == "p_complication":
-            return rng.beta(s.complication_alpha, s.complication_beta, size=n)
-        lognormals = {
-            "cost_treatment": (s.cost_treatment_mean, s.cost_treatment_sigma),
-            "cost_complication": (s.cost_complication_mean, s.cost_complication_sigma),
-            "cost_vaccine": (s.cost_vaccine_mean, s.cost_vaccine_sigma),
-            "qaly_loss_infection": (s.qaly_infection_mean, s.qaly_infection_sigma),
-            "qaly_loss_complication": (s.qaly_complication_mean, s.qaly_complication_sigma),
-        }
-        mean, sigma = lognormals[name]
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return rng.lognormal(mu, sigma, size=n)
+        return {
+            "p_infection": ("beta", s.infection_alpha, s.infection_beta),
+            "risk_reduction": ("beta", s.reduction_alpha, s.reduction_beta),
+            "p_complication": ("beta", s.complication_alpha, s.complication_beta),
+            "cost_treatment": ("lognormal", s.cost_treatment_mean, s.cost_treatment_sigma),
+            "cost_complication": (
+                "lognormal", s.cost_complication_mean, s.cost_complication_sigma
+            ),
+            "cost_vaccine": ("lognormal", s.cost_vaccine_mean, s.cost_vaccine_sigma),
+            "qaly_loss_infection": (
+                "lognormal", s.qaly_infection_mean, s.qaly_infection_sigma
+            ),
+            "qaly_loss_complication": (
+                "lognormal", s.qaly_complication_mean, s.qaly_complication_sigma
+            ),
+        }[name]
+
+    def _draw_column(self, name: str, n: int, rng: np.random.Generator) -> np.ndarray:
+        family, a, b = self._marginal(name)
+        if family == "beta":
+            return rng.beta(a, b, size=n)
+        mu = math.log(a) - 0.5 * b * b
+        return rng.lognormal(mu, b, size=n)
+
+    def _column_mean(self, name: str) -> float:
+        """Exact mean of the marginal :meth:`_draw_column` samples."""
+        family, a, b = self._marginal(name)
+        if family == "beta":
+            return a / (a + b)
+        # the log-scale location is log(mean) - sigma^2/2, so the mean is the
+        # spec's own
+        return a
 
     def sample_joint(self, n: int, rng: np.random.Generator) -> np.ndarray:
         theta = np.empty((n, len(self.param_names)))
@@ -357,22 +393,22 @@ def brute_force_evppi(
     subset: ParamSubset,
     k: float,
     n_outer: int = 10_000,
-    n_inner: int = 1_000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """High-budget nested Monte Carlo oracle for the toy model.
+    """Outer-sample oracle for the toy model, with an exact inner expectation.
 
-    Exploits parameter independence: inner draws come straight from the
-    marginals of the unlearned parameters.  Returns (value, outer-level
-    Monte Carlo standard error).  Test-suite oracle; deliberately separate
-    from the generic nested estimator so the two can cross-check.
+    The toy's net benefit is multilinear in mutually independent
+    parameters, so E[nb_t | phi] is nb_t with every unlearned parameter set
+    to its mean: only the outer draws of ``subset`` are random, and the
+    estimate carries none of the upward bias a max over noisy inner means
+    would add.  Returns (value, outer-level Monte Carlo standard error).
+    Test-suite oracle; deliberately separate from the generic nested
+    estimator so the two can cross-check.
     """
     if not isinstance(spec, NonlinearToySpec):
         raise TypeError("brute_force_evppi is defined for NonlinearToySpec only")
-    if n_outer < 10_000 or n_inner < 1_000:
-        raise ValueError(
-            "oracle budget too small: need n_outer >= 10000 and n_inner >= 1000"
-        )
+    if n_outer < 10_000:
+        raise ValueError("oracle budget too small: need n_outer >= 10000")
     model = NonlinearToyModel(spec)
     subset.validate_against(len(model.param_names))
     idx = list(subset.indices)
@@ -380,22 +416,12 @@ def brute_force_evppi(
     rng = np.random.default_rng(seed)
     outer = model.sample_joint(n_outer, rng)[:, idx]
 
-    maxima = np.empty(n_outer)
-    grand = np.zeros(model.n_treatments)
-    for start in range(0, n_outer, _BRUTE_FORCE_CHUNK):
-        block = outer[start : start + _BRUTE_FORCE_CHUNK]
-        c = block.shape[0]
-        theta = np.empty((c * n_inner, len(model.param_names)))
-        for col_pos, col in enumerate(idx):
-            theta[:, col] = np.repeat(block[:, col_pos], n_inner)
-        for col, name in enumerate(model.param_names):
-            if col not in idx:
-                theta[:, col] = model._draw_column(name, c * n_inner, rng)
-        nb = model.net_benefit(theta, k).reshape(c, n_inner, -1)
-        inner_means = nb.mean(axis=1)
-        maxima[start : start + c] = inner_means.max(axis=1)
-        grand += inner_means.sum(axis=0)
+    means = [model._column_mean(name) for name in model.param_names]
+    theta = np.tile(means, (n_outer, 1))
+    theta[:, idx] = outer
+    nb = model.net_benefit(theta, k)
+    maxima = nb.max(axis=1)
 
-    value = float(maxima.mean() - np.max(grand / n_outer))
+    value = float(maxima.mean() - nb.mean(axis=0).max())
     se = float(np.std(maxima, ddof=1) / math.sqrt(n_outer))
     return value, se

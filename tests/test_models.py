@@ -87,6 +87,15 @@ class TestLinearGaussianOracle:
         with pytest.raises(ValueError, match="sigma"):
             LinearGaussianSpec(sigma_phi=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["a", "b", "c", "mu_phi", "sigma_phi", "mu_psi", "sigma_psi"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_is_rejected_by_name(self, field, bad):
+        # NaN slips past a "<= 0" check, and the oracle would return nan
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LinearGaussianSpec(**{field: bad})
+
 
 class TestGeneratePsa:
     def test_bitwise_determinism(self):
@@ -158,6 +167,70 @@ class TestConditionalConsistency:
         assert abs(theta[:, 0].std() - joint[:, 0].std()) < 0.005
 
 
+class TestToySpecValidation:
+    @pytest.mark.parametrize(
+        "field", ["infection_alpha", "cost_vaccine_mean", "qaly_complication_sigma"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_is_rejected_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            NonlinearToySpec(**{field: bad})
+
+    def test_negative_lognormal_sigma_is_rejected_by_name(self):
+        # numpy would only object later, at the first draw, as "sigma < 0"
+        with pytest.raises(ValueError, match="^cost_treatment_sigma must be >= 0"):
+            NonlinearToySpec(cost_treatment_sigma=-0.3)
+
+    def test_zero_sigma_is_a_point_mass(self):
+        model = NonlinearToyModel(NonlinearToySpec(cost_vaccine_sigma=0.0))
+        draws = model._draw_column("cost_vaccine", 5, np.random.default_rng(0))
+        assert draws == pytest.approx(np.full(5, 192.0), rel=1e-14)
+
+
+class TestExactInnerExpectation:
+    """The premise of the toy oracle: E[nb | phi] is nb at the means of the
+    unlearned parameters."""
+
+    def test_net_benefit_is_multilinear_in_every_column(self):
+        model = NonlinearToyModel(NonlinearToySpec())
+        rng = np.random.default_rng(21)
+        theta = model.sample_joint(50, rng)
+        lo, hi = model.sample_joint(50, rng), model.sample_joint(50, rng)
+        for j, name in enumerate(model.param_names):
+
+            def nb_at(w):
+                row = theta.copy()
+                row[:, j] = (1.0 - w) * lo[:, j] + w * hi[:, j]
+                return model.net_benefit(row, 20_000.0)
+
+            a, b = nb_at(0.0), nb_at(1.0)
+            scale = max(np.abs(a).max(), np.abs(b).max())
+            assert np.abs(nb_at(0.3) - (0.7 * a + 0.3 * b)).max() <= 1e-9 * scale, name
+
+    def test_column_means_match_the_draws(self):
+        model = NonlinearToyModel(NonlinearToySpec())
+        rng = np.random.default_rng(22)
+        n = 1_000_000
+        for name in model.param_names:
+            draws = model._draw_column(name, n, rng)
+            se = draws.std(ddof=1) / math.sqrt(n)
+            assert abs(model._column_mean(name) - draws.mean()) <= 5 * se, name
+
+    @pytest.mark.parametrize("subset", [(1,), (0, 1)], ids=["rr", "p_inf,rr"])
+    def test_plug_in_matches_conditional_draws(self, subset):
+        model = NonlinearToyModel(NonlinearToySpec())
+        rng = np.random.default_rng(23)
+        means = np.array([model._column_mean(name) for name in model.param_names])
+        n = 200_000
+        for phi in model.sample_joint(3, rng)[:, subset]:
+            plug_in = means.copy()
+            plug_in[list(subset)] = phi
+            expected = model.net_benefit(plug_in, 20_000.0)[0]
+            nb = model.net_benefit(model.sample_conditional(subset, phi, n, rng), 20_000.0)
+            se = nb.std(axis=0, ddof=1) / math.sqrt(n)
+            assert np.all(np.abs(expected - nb.mean(axis=0)) <= 5 * se)
+
+
 class TestSpecSerialization:
     @pytest.mark.parametrize(
         "spec",
@@ -184,7 +257,7 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="budget"):
             brute_force_evppi(
                 NonlinearToySpec(), ParamSubset.of(0), 20_000.0,
-                n_outer=100, n_inner=100,
+                n_outer=100,
             )
 
     def test_empty_subset_impossible(self):
@@ -195,7 +268,7 @@ class TestBruteForceOracle:
         spec = NonlinearToySpec()
         subset = ParamSubset(tuple(range(8)))
         value, se = brute_force_evppi(
-            spec, subset, 20_000.0, n_outer=10_000, n_inner=1_000, seed=4
+            spec, subset, 20_000.0, n_outer=10_000, seed=4
         )
         big = generate_psa(spec, 400_000, seed=5, k=20_000.0)
         plain = evpi(big.nb)
@@ -206,7 +279,7 @@ class TestBruteForceOracle:
         spec = NonlinearToySpec()
         subset = ParamSubset.of(1)  # vaccine risk reduction
         value, se = brute_force_evppi(
-            spec, subset, 20_000.0, n_outer=10_000, n_inner=1_000, seed=10
+            spec, subset, 20_000.0, n_outer=10_000, seed=10
         )
         generic = nested_mc_evppi(
             NonlinearToyModel(spec), subset, 20_000.0,

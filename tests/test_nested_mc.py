@@ -75,8 +75,30 @@ def test_single_inner_draw_degenerates_to_full_information(lin_spec):
     model = LinearGaussianModel(lin_spec)
     est = nested_mc_evppi(model, ParamSubset.of(0), 0.0, 3_000, 1, seed=4)
     assert est.diagnostics["biased_high"] is True
+    assert "inner_bias" not in est.diagnostics
     target = linear_gaussian_oracle(lin_spec, "both")
     assert abs(est.value - target) <= 3 * est.std_error + 0.01
+
+
+def test_inner_bias_falls_as_one_over_inner_size(lin_spec):
+    # the half-batch estimate of an O(1/n_inner) bias: 4x smaller at 32 than at 8
+    model = LinearGaussianModel(lin_spec)
+    mean_bias = {
+        n: np.mean([
+            nested_mc_evppi(model, ParamSubset.of(0), 0.0, 2_000, n, seed=s)
+            .diagnostics["inner_bias"]
+            for s in range(5)
+        ])
+        for n in (8, 32)
+    }
+    assert mean_bias[32] > 0.0  # the estimate is biased high
+    assert 2.5 <= mean_bias[8] / mean_bias[32] <= 6.0
+
+
+def test_inner_bias_vanishes_with_nothing_left_to_draw(lin_spec):
+    model = LinearGaussianModel(lin_spec)
+    est = nested_mc_evppi(model, ParamSubset.of(0, 1), 0.0, 200, 7, seed=8)
+    assert abs(est.diagnostics["inner_bias"]) <= 1e-12
 
 
 def test_deterministic_given_seed(lin_spec):
