@@ -87,11 +87,15 @@ def nested_mc_evppi(
                 f"model evaluation failed at outer draw {i} "
                 f"(phi={outer_theta[i, idx].tolist()}): {exc}"
             ) from exc
-        inner_means[i] = nb.mean(axis=0)
         if half:
             half_sums[i] = np.add.reduceat(nb, (0, half), axis=0)
-        nb_scale = max(nb_scale, float(np.max(np.abs(nb))))
+        else:
+            inner_means[i] = nb[0]
+        nb_scale = max(nb_scale, float(nb.max()), -float(nb.min()))
 
+    if half:
+        # the inner mean is the sum of the two half sums over n_inner
+        inner_means = half_sums.sum(axis=1) / n_inner
     maxima = inner_means.max(axis=1)
     grand = inner_means.mean(axis=0)
     value = float(maxima.mean() - grand.max())

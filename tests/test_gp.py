@@ -17,7 +17,7 @@ from voikit import (
     generate_psa,
     gp_fit_detail,
 )
-from voikit.gp import JITTER_FACTOR, N_HYPER_ROWS, N_RESTARTS, _kernel
+from voikit.gp import JITTER_FACTOR, N_COARSE_ROWS, N_HYPER_ROWS, N_RESTARTS, _kernel
 
 from conftest import make_sample
 
@@ -267,19 +267,23 @@ def test_posterior_memory_bounded_at_large_sample(length_scale):
     assert peak <= 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def _scripted_minimize(ends):
-    """A stand-in for ``gp.minimize`` whose i-th call ends at ``ends[i]``
-    (raised when it is an exception), at its start point."""
-    starts = []
+def _scripted_minimize(ends, polish_end=0.25):
+    """A stand-in for ``gp.minimize`` whose i-th coarse restart ends at
+    ``ends[i]`` and whose polish (the call on more than ``N_COARSE_ROWS``
+    rows) ends at ``polish_end``, each at its start point (raised when it is
+    an exception).  The starts of the restarts and of the polish are kept in
+    two lists."""
+    starts, polish_starts = [], []
 
     def scripted(objective, theta0, **kwargs):
-        starts.append(np.array(theta0))
-        end = ends[len(starts) - 1]
+        polish = objective.n > N_COARSE_ROWS
+        (polish_starts if polish else starts).append(np.array(theta0))
+        end = polish_end if polish else ends[len(starts) - 1]
         if isinstance(end, Exception):
             raise end
-        return SimpleNamespace(x=np.array(theta0), fun=end)
+        return SimpleNamespace(x=np.array(theta0), fun=end, success=True)
 
-    return scripted, starts
+    return scripted, starts, polish_starts
 
 
 @pytest.mark.parametrize("ends, run, at_best, chosen", [
@@ -299,21 +303,27 @@ def _scripted_minimize(ends):
 def test_search_stops_once_its_best_optimum_repeats(monkeypatch, ends, run, at_best, chosen):
     import voikit.gp as gp_mod
 
-    scripted, starts = _scripted_minimize(ends)
+    scripted, starts, polish_starts = _scripted_minimize(ends)
     monkeypatch.setattr(gp_mod, "minimize", scripted)
     sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
     _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
     assert len(starts) == info["restarts_run"] == run
     assert info["restarts_at_best"] == at_best
-    assert info["log_marginal_likelihood"] == -ends[chosen]
+    # the polish starts from the chosen coarse optimum and reports its end
+    assert len(polish_starts) == 1
+    assert np.array_equal(polish_starts[0], starts[chosen])
+    assert info["log_marginal_likelihood"] == -0.25
     assert info["length_scales"] == [float(np.exp(starts[chosen][0]))]
     assert info["fallback_median_heuristic"] is False
+    assert info["polish_converged"] is True
 
 
 def test_search_record_when_every_restart_fails(monkeypatch):
     import voikit.gp as gp_mod
 
-    scripted, starts = _scripted_minimize([np.inf, ValueError("synthetic"), np.nan] * 2)
+    scripted, starts, polish_starts = _scripted_minimize(
+        [np.inf, ValueError("synthetic"), np.nan] * 2
+    )
     monkeypatch.setattr(gp_mod, "minimize", scripted)
     sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
     with pytest.warns(UserWarning, match="median-heuristic"):
@@ -321,6 +331,12 @@ def test_search_record_when_every_restart_fails(monkeypatch):
     assert len(starts) == info["restarts_run"] == 5
     assert info["restarts_at_best"] == 0
     assert info["fallback_median_heuristic"] is True
+    # no polish follows the fallback; its likelihood is evaluated once on
+    # all 300 rows
+    assert polish_starts == [] and info["polish_converged"] is None
+    assert info["search_rows"] == [N_COARSE_ROWS, 300]
+    assert info["likelihood_evaluations"] == [0, 1]
+    assert np.isfinite(info["log_marginal_likelihood"])
 
 
 def test_restart_count_does_not_move_the_random_stream(monkeypatch):
@@ -331,7 +347,7 @@ def test_restart_count_does_not_move_the_random_stream(monkeypatch):
     sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
     seen = []
     for ends in ([1.0] * 5, [5.0, 4.0, 3.0, 2.0, 1.0]):
-        scripted, starts = _scripted_minimize(ends)
+        scripted, starts, _ = _scripted_minimize(ends)
         monkeypatch.setattr(gp_mod, "minimize", scripted)
         gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
         seen.append(starts)
@@ -339,11 +355,188 @@ def test_restart_count_does_not_move_the_random_stream(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(seen[0], seen[1]))
 
 
+_SEARCH_KEYS = (
+    "restarts_run",
+    "restarts_at_best",
+    "search_rows",
+    "likelihood_evaluations",
+    "polish_converged",
+)
+
+
 def test_only_searched_records_count_restarts(lin_sample):
     _, searched = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, seed=3)
     assert 1 <= searched["restarts_at_best"] <= searched["restarts_run"] <= N_RESTARTS
+    assert searched["search_rows"] == [N_COARSE_ROWS, N_HYPER_ROWS]
+    assert all(n > 0 for n in searched["likelihood_evaluations"])
     hp = GpHyperparameters(length_scales=(1.0,), signal_var=2.0, noise_var=1.0)
     _, fixed = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, hyperparameters=hp)
     _, constant = gp_fit_detail(lin_sample, ParamSubset.of(0), 0, seed=3)
     for info in (fixed, constant):
-        assert "restarts_run" not in info and "restarts_at_best" not in info
+        assert not any(key in info for key in _SEARCH_KEYS)
+
+
+# --- the two-level search ---------------------------------------------------
+
+
+def _standardized(sample, subset, t):
+    """The standardized inputs and response a fit of column t searches on."""
+    phi = sample.params[:, list(subset.indices)]
+    y = sample.nb[:, t]
+    return (phi - phi.mean(axis=0)) / phi.std(axis=0), (y - y.mean()) / y.std()
+
+
+def test_coarse_rows_are_nested_in_the_hyperparameter_rows(monkeypatch):
+    import voikit.gp as gp_mod
+
+    seen = []
+
+    class Recording(gp_mod._MarginalLikelihood):
+        def __init__(self, x, y):
+            seen.append(x.copy())
+            super().__init__(x, y)
+
+    monkeypatch.setattr(gp_mod, "_MarginalLikelihood", Recording)
+    sample = generate_psa(LinearGaussianSpec(), 3_000, seed=8)
+    subset = ParamSubset.of(0, 1)
+    _, info = gp_fit_detail(sample, subset, 1, seed=5)
+    coarse, full = seen
+    assert (len(coarse), len(full)) == (N_COARSE_ROWS, N_HYPER_ROWS)
+    assert info["search_rows"] == [N_COARSE_ROWS, N_HYPER_ROWS]
+    # every coarse row is a hyperparameter row: the first N_COARSE_ROWS of
+    # the seeded permutation whose first N_HYPER_ROWS give the subsample
+    full_rows = {tuple(row) for row in full}
+    assert all(tuple(row) in full_rows for row in coarse)
+    x, _ = _standardized(sample, subset, 1)
+    perm = np.random.default_rng(5).permutation(sample.n_sims)
+    assert np.allclose(coarse, x[np.sort(perm[:N_COARSE_ROWS])], rtol=0, atol=1e-12)
+    assert np.allclose(full, x[np.sort(perm[:N_HYPER_ROWS])], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [120, N_COARSE_ROWS])
+def test_small_sample_is_searched_in_one_level(monkeypatch, n):
+    import voikit.gp as gp_mod
+
+    sample = generate_psa(NonlinearToySpec(), n, seed=6)
+    subset = ParamSubset.of(1)
+    fitted, info = gp_fit_detail(sample, subset, 1, seed=2)
+    assert info["search_rows"] == [n]
+    assert len(info["likelihood_evaluations"]) == 1
+    assert info["polish_converged"] is None
+    # the same as a search whose coarse level already has every row
+    monkeypatch.setattr(gp_mod, "N_COARSE_ROWS", N_HYPER_ROWS)
+    one_level, one_level_info = gp_fit_detail(sample, subset, 1, seed=2)
+    assert np.array_equal(fitted, one_level)
+    assert info == one_level_info
+
+
+def _full_subsample_reference(sample, subset, t, seed):
+    """Lowest negative log marginal likelihood over all ``N_RESTARTS``
+    L-BFGS-B restarts on the whole subsample, with no early stop: the
+    one-level search's starts and optimizer settings, drawn the same way."""
+    import voikit.gp as gp_mod
+    from scipy.optimize import minimize
+
+    x, y = _standardized(sample, subset, t)
+    rng = np.random.default_rng(seed)
+    sub = np.sort(rng.permutation(sample.n_sims)[:N_HYPER_ROWS])
+    objective = gp_mod._MarginalLikelihood(x[sub], y[sub])
+    d = x.shape[1]
+    var_y = float(y[sub].var())
+    center = np.concatenate([
+        np.log(objective.median_heuristic()),
+        [np.log(max(var_y, 1e-6)), np.log(max(0.2 * var_y, 1e-6))],
+    ])
+    starts = [center] + [
+        center + np.concatenate([
+            rng.normal(0.0, 1.0, size=d), [rng.normal(0.0, 1.0), rng.normal(0.0, 1.5)]
+        ])
+        for _ in range(N_RESTARTS - 1)
+    ]
+    bounds = [gp_mod._LOG_BOUNDS["length"]] * d + [
+        gp_mod._LOG_BOUNDS["signal"], gp_mod._LOG_BOUNDS["noise"]
+    ]
+    lo, hi = np.array(bounds).T
+    ends = [
+        minimize(
+            objective, np.clip(start, lo, hi), jac=True, method="L-BFGS-B",
+            bounds=bounds, options={"maxiter": 60, "maxfun": 80},
+        ).fun
+        for start in starts
+    ]
+    return min(float(f) for f in ends if np.isfinite(f))
+
+
+@pytest.fixture(scope="module", params=[("toy", "risk_reduction"), ("lg", "phi")])
+def polished_search(request):
+    """One searched contrast fit at S=2000, with every optimizer call and
+    its result recorded."""
+    import voikit.gp as gp_mod
+
+    spec = NonlinearToySpec() if request.param[0] == "toy" else LinearGaussianSpec()
+    sample = generate_psa(spec, 2_000, seed=3)
+    sample = sample._with_nb(sample.nb - sample.nb[:, :1])
+    subset = ParamSubset.from_names([request.param[1]], sample.param_names)
+    real = gp_mod.minimize
+    calls = []
+
+    def recording(objective, theta0, **kwargs):
+        res = real(objective, theta0, **kwargs)
+        calls.append(SimpleNamespace(
+            objective=objective, start=np.array(theta0), res=res, bounds=kwargs["bounds"]
+        ))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp_mod, "minimize", recording)
+        _, info = gp_fit_detail(sample, subset, 1, seed=3)
+    return SimpleNamespace(sample=sample, subset=subset, info=info, calls=calls)
+
+
+def test_polish_ends_at_a_kkt_point_no_worse_than_its_start(polished_search):
+    *restarts, polish = polished_search.calls
+    info = polished_search.info
+    assert len(restarts) == info["restarts_run"]
+    assert polish.objective.n == N_HYPER_ROWS
+    # it starts from the best coarse optimum
+    best = min(restarts, key=lambda call: call.res.fun)
+    assert np.array_equal(polish.start, best.res.x)
+    start, _ = polish.objective(polish.start)
+    end, grad = polish.objective(polish.res.x)
+    assert end <= start + 1e-12 * abs(start)
+    assert info["log_marginal_likelihood"] == pytest.approx(-end, rel=1e-12)
+    assert info["polish_converged"] is bool(polish.res.success)
+    # projected gradient: each component the bounds let the descent follow
+    lo, hi = np.array(polish.bounds).T
+    projected = polish.res.x - np.clip(polish.res.x - grad, lo, hi)
+    assert np.max(np.abs(projected)) <= 1e-4 * max(1.0, abs(end))
+
+
+def test_polish_matches_a_full_subsample_search(polished_search):
+    reference = _full_subsample_reference(
+        polished_search.sample, polished_search.subset, 1, seed=3
+    )
+    polished = -polished_search.info["log_marginal_likelihood"]
+    assert polished <= reference + 1e-6 * abs(reference)
+
+
+@pytest.mark.parametrize("polish_end", [ValueError("synthetic"), np.inf, np.nan])
+def test_failed_polish_keeps_the_coarse_optimum(monkeypatch, polish_end):
+    import voikit.gp as gp_mod
+
+    scripted, starts, polish_starts = _scripted_minimize(
+        [100.0, 100.00005, 1.0, 1.0, 1.0], polish_end
+    )
+    monkeypatch.setattr(gp_mod, "minimize", scripted)
+    sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
+    _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
+    assert len(polish_starts) == 1 and np.array_equal(polish_starts[0], starts[0])
+    assert info["length_scales"] == [float(np.exp(starts[0][0]))]
+    assert info["fallback_median_heuristic"] is False
+    assert info["polish_converged"] is False
+    # the likelihood reported is that of all 300 rows (the whole subsample,
+    # in sample order) at the coarse optimum, evaluated once
+    assert info["likelihood_evaluations"] == [0, 1]
+    x, y = _standardized(sample, ParamSubset.of(0), 1)
+    expected = -gp_mod._MarginalLikelihood(x, y)(starts[0])[0]
+    assert info["log_marginal_likelihood"] == pytest.approx(expected, rel=1e-9)
