@@ -54,6 +54,11 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _warn(notes: list[str]) -> None:
+    for note in notes:
+        print(f"voikit: warning: {note}", file=sys.stderr)
+
+
 def _wtp(args) -> float:
     """``--k``, or the default willingness to pay when it was not given."""
     return DEFAULT_WTP if args.k is None else args.k
@@ -310,8 +315,7 @@ def cmd_compare(args) -> int:
             report["warnings"] = notes
         _emit_json(report)
         return 0
-    for note in notes:
-        print(f"voikit: warning: {note}", file=sys.stderr)
+    _warn(notes)
 
     label_width = max(len(",".join(r["subset"])) for r in rows) + 2
     header = "parameter".ljust(label_width) + "".join(m.rjust(16) for m in methods)
@@ -350,6 +354,11 @@ def cmd_sweep(args) -> int:
     else:
         sample = read_psa_csv(args.file, k=_wtp(args))
     if sample.effects is None:
+        if args.model:
+            raise _UsageError(
+                f"model {args.model} defines net benefit directly in currency, so "
+                "there is no willingness to pay to sweep"
+            )
         raise _UsageError(
             "sweep needs the effect/cost decomposition: an nb-only input fixes k, "
             "so net benefit cannot be rebuilt across the grid"
@@ -383,7 +392,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_vistool(args) -> int:
-    sample = read_psa_csv(args.file, k=args.k)
+    sample = read_psa_csv(args.file, k=_wtp(args))
+    notes: list[str] = []
+    _sample_k(args.file, sample, args, notes)
+    _warn(notes)  # stdout carries only the curve
     p = sample.param_index(args.param)
     t, t_prime = args.treatments
     curve = cumsum_curve(sample, p, t, t_prime)
@@ -490,7 +502,9 @@ def build_parser() -> _Parser:
     p.add_argument("--param", required=True)
     p.add_argument("--treatments", type=int, nargs=2, default=(1, 0),
                    metavar=("T", "T_PRIME"))
-    p.add_argument("--k", type=float, default=DEFAULT_WTP)
+    p.add_argument("--k", type=float, default=None,
+                   help="willingness to pay (default 20000); nb-only files "
+                        "keep the k they were built at")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_vistool)
 
@@ -514,17 +528,18 @@ def _check_counts(args) -> None:
         raise _UsageError(
             f"--bootstrap must be 0 (no standard error) or at least 2, got {bootstrap}"
         )
-    # the --mc-* floors are the ones nested_mc_evppi enforces
-    for flag, floor in (("threads", 1), ("mc_outer", 2), ("mc_inner", 1)):
-        value = getattr(args, flag, floor)
-        if value < floor:
+    # the --mc-* floors are the ones nested_mc_evppi enforces; a --bins
+    # above the sample's row count is caught per sample
+    for flag, floor in (("threads", 1), ("mc_outer", 2), ("mc_inner", 1), ("bins", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < floor:
             name = "--" + flag.replace("_", "-")
             raise _UsageError(f"{name} must be at least {floor}, got {value}")
-    fraction = getattr(args, "bias_threshold_relative", None)
-    if fraction is not None and not (fraction > 0 and math.isfinite(fraction)):
-        raise _UsageError(
-            f"--bias-threshold-relative must be positive and finite, got {fraction}"
-        )
+    for flag in ("bias_threshold", "bias_threshold_relative"):
+        value = getattr(args, flag, None)
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            name = "--" + flag.replace("_", "-")
+            raise _UsageError(f"{name} must be positive and finite, got {value}")
 
 
 def main(argv=None) -> int:

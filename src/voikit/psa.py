@@ -118,16 +118,16 @@ class _ParamOrders:
     A sample drawn from a parent by nondecreasing rows (a bootstrap
     replicate in row-index order) derives each order from the parent's in
     O(S) instead of sorting: the parent's order with every row repeated by
-    its count.  That is exactly the stable argsort of the drawn column, ties
-    included, because the parent breaks ties by row index and the copies of
-    a row sit next to one another in row-index order.
+    its count in the draw.  That is exactly the stable argsort of the drawn
+    column, ties included, because the parent breaks ties by row index and
+    the copies of a row sit next to one another in row-index order.
     """
 
     def __init__(self, params: np.ndarray, parent: "_ParamOrders | None" = None,
-                 rows: np.ndarray | None = None):
+                 counts: np.ndarray | None = None):
         self._params = params
         self._parent = parent
-        self._rows = rows
+        self._counts = counts
         self._orders: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -145,14 +145,14 @@ class _ParamOrders:
 
     def _derived(self, p: int) -> np.ndarray:
         parent_order = self._parent.get(p)
-        counts = np.bincount(self._rows, minlength=parent_order.size)
+        counts = self._counts
         # row of each parent row's first copy here, taken in the parent's order
         first = (np.cumsum(counts) - counts)[parent_order]
         repeats = counts[parent_order]
         # the copies of one parent row are consecutive both in this sample and
         # in its order, so position j holds first[g] + (j - start of group g)
         shift = first - (np.cumsum(repeats) - repeats)
-        return np.repeat(shift, repeats) + np.arange(self._rows.size)
+        return np.repeat(shift, repeats) + np.arange(self._params.shape[0])
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,9 @@ class PsaSample:
     When the effect and cost matrices are kept, ``nb`` must equal
     ``k * effects - costs`` for the stored willingness to pay, so the net
     benefit can be rebuilt at any other threshold without re-simulation.
-    All arrays are frozen after construction; operations never mutate them.
+    Inputs are validated and copied once, here; the samples derived from
+    this one (:meth:`take`, :meth:`at_wtp`) share or gather its frozen
+    arrays without a second check or copy.  No operation mutates an array.
     The stable sort order of each parameter column is computed on first use
     and kept (:meth:`param_order`).
     """
@@ -258,22 +260,27 @@ class PsaSample:
     def take(self, rows: np.ndarray) -> "PsaSample":
         """Row-subset (or resampled) copy, used by the bootstrap.
 
-        When ``rows`` is nondecreasing the copy derives its parameter orders
-        from this sample's in O(S) instead of sorting again.
+        ``rows`` is a 1-D integer array of at least 2 indices in [-S, S).
+        When it is nondecreasing the copy derives its parameter orders from
+        this sample's in O(S) instead of sorting again.
         """
-        rows = np.asarray(rows, dtype=int)
-        out = PsaSample(
-            param_names=self.param_names,
-            params=self.params[rows],
-            nb=self.nb[rows],
-            effects=None if self.effects is None else self.effects[rows],
-            costs=None if self.costs is None else self.costs[rows],
-            k=self.k,
-            treatment_names=self.treatment_names,
-        )
+        rows, n = np.asarray(rows), self.n_sims
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size < 2:
+            raise ValueError(f"rows must be a 1-D integer array of at least 2 "
+                             f"indices, got dtype {rows.dtype}, shape {rows.shape}")
+        if rows.min() < -n or rows.max() >= n:
+            raise ValueError(f"rows out of range for {n} simulation rows")
+
+        def gather(a):
+            return None if a is None else np.take(a, rows, axis=0)
+
+        params = gather(self.params)
         if rows[0] >= 0 and np.all(rows[1:] >= rows[:-1]):
-            object.__setattr__(out, "_orders", _ParamOrders(out.params, self._orders, rows))
-        return out
+            orders = _ParamOrders(params, self._orders, np.bincount(rows, minlength=n))
+        else:
+            orders = _ParamOrders(params)
+        return self._derive(params, gather(self.nb), gather(self.effects),
+                            gather(self.costs), self.k, orders)
 
     def at_wtp(self, k) -> "PsaSample":
         """Rebuild the sample at a different willingness to pay.
@@ -286,33 +293,25 @@ class PsaSample:
                 "needs the effect and cost matrices"
             )
         k = _wtp_value(k)
-        out = PsaSample(
-            param_names=self.param_names,
-            params=self.params,
-            nb=build_nb(self.effects, self.costs, k),
-            effects=self.effects,
-            costs=self.costs,
-            k=k,
-            treatment_names=self.treatment_names,
-        )
-        object.__setattr__(out, "_orders", self._orders)  # same params, same orders
-        return out
+        return self._derive(self.params, k * self.effects - self.costs, self.effects,
+                            self.costs, k, self._orders)
 
     def _with_nb(self, nb: np.ndarray) -> "PsaSample":
         """The same parameter draws with net benefit ``nb`` (S x T) and no
-        effect or cost matrices.
+        effect or cost matrices; ``nb`` is taken over and frozen."""
+        return self._derive(self.params, nb, None, None, self.k, self._orders)
 
-        The copy shares this sample's frozen parameter matrix and sort
-        orders instead of copying them; ``nb`` is taken over and frozen.
-        """
-        nb.flags.writeable = False
+    def _derive(self, params, nb, effects, costs, k, orders: _ParamOrders) -> "PsaSample":
+        """A sample built from this one's validated arrays: no check, no copy;
+        the arrays are marked read-only and the names carry over."""
+        for a in (params, nb, effects, costs):
+            if a is not None:
+                a.flags.writeable = False
         out = object.__new__(PsaSample)
-        for name, value in (
-            ("param_names", self.param_names), ("params", self.params), ("nb", nb),
-            ("effects", None), ("costs", None), ("k", self.k),
-            ("treatment_names", self.treatment_names), ("_orders", self._orders),
-        ):
-            object.__setattr__(out, name, value)
+        vars(out).update(
+            param_names=self.param_names, params=params, nb=nb, effects=effects,
+            costs=costs, k=k, treatment_names=self.treatment_names, _orders=orders,
+        )
         return out
 
 

@@ -358,6 +358,17 @@ class TestSweepCommand:
         assert rc == 1
         assert "effect/cost" in err
 
+    def test_model_without_effects_and_costs_is_named(self, capsys):
+        rc, out, err = _run(capsys, [
+            "sweep", "--model", "linear-gaussian", "--params", "phi", "--sims", "100",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "voikit: error: model linear-gaussian defines net benefit directly in "
+            "currency, so there is no willingness to pay to sweep\n"
+        )
+
     def test_model_sweep_reports_flip_point(self, capsys):
         rc, out, _ = _run(capsys, [
             "sweep", "--model", "toy", "--params", "risk_reduction",
@@ -408,6 +419,17 @@ class TestVistoolCommand:
         assert lines[0] == "phi,cumsum"
         assert len(lines) == 2_001
         assert float(lines[1].split(",")[1]) == 0.0
+
+    def test_k_on_nb_only_file_warns_on_stderr(self, capsys, lin_csv):
+        rc, plain, err = _run(capsys, ["vistool", "--file", lin_csv, "--param", "phi"])
+        assert rc == 0 and err == ""
+        rc, out, err = _run(capsys, [
+            "vistool", "--file", lin_csv, "--param", "phi", "--k", "5",
+        ])
+        assert rc == 0
+        assert out == plain  # the curve does not depend on --k here
+        assert err.startswith("voikit: warning: --k 5 does not apply")
+        assert "unknown k" in err
 
     def test_missing_param_lists_available(self, capsys, lin_csv):
         rc, _, err = _run(capsys, [
@@ -567,6 +589,36 @@ class TestUsageErrors:
             "voikit: error: --bias-threshold-relative must be positive and finite, "
             f"got {float(fraction)}\n"
         )
+
+    @pytest.mark.parametrize("command", [
+        ["evppi", "--method", "so"],
+        ["compare", "--changes", "1", "--bootstrap", "0"],
+        ["compare", "--changes", "1", "--bootstrap", "0", "--format", "json"],
+        ["sweep", "--method", "so"],
+    ], ids=["evppi", "compare-table", "compare-json", "sweep"])
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--bins", "0", "--bins must be at least 1, got 0", id="bins"),
+        *(
+            pytest.param(
+                "--bias-threshold", value,
+                f"--bias-threshold must be positive and finite, got {float(value)}",
+                id=f"threshold={value}",
+            )
+            for value in ("0", "-1", "nan", "inf")
+        ),
+    ])
+    def test_bad_so_flag_rejected_before_any_work(
+        self, capsys, tmp_path, command, flag, value, message
+    ):
+        # SO would report these as a "-" cell in compare, not as an error
+        missing = str(tmp_path / "missing.csv")
+        rc, out, err = _run(capsys, [
+            command[0], "--file", missing, "--params", "risk_reduction",
+            *command[1:], flag, value,
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == f"voikit: error: {message}\n"
 
     def test_changes_naming_a_parameter_twice_is_rejected(self, capsys, toy_csv):
         rc, out, err = _run(capsys, [

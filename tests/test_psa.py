@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voikit import (
+    BootstrapConfig,
     EstimationError,
     EvppiEstimate,
     ParamSubset,
@@ -19,6 +20,8 @@ from voikit import (
     generate_psa,
     incremental_nb,
     linear_gaussian_oracle,
+    so_evppi,
+    with_bootstrap,
 )
 
 from conftest import make_sample
@@ -214,6 +217,103 @@ class TestPsaSample:
         assert lin_sample.param_index("psi") == 1
         with pytest.raises(ValueError, match="unknown parameter"):
             lin_sample.param_index("nope")
+
+
+def _priced_sample():
+    """30 rows with effects, costs and a parameter column with ties: every
+    field a derived sample has to carry over."""
+    rng = np.random.default_rng(0)
+    effects = rng.uniform(0, 1, (30, 3))
+    costs = rng.uniform(0, 100, (30, 3))
+    params = np.column_stack([np.round(rng.normal(size=30)), rng.normal(size=30)])
+    return PsaSample(
+        ("tied", "free"), params, nb=build_nb(effects, costs, 100.0),
+        effects=effects, costs=costs, k=100.0, treatment_names=("a", "b", "c"),
+    )
+
+
+PRICED = _priced_sample()
+
+
+class TestDerivedSamples:
+    """``take``, ``at_wtp`` and ``_with_nb`` build on validated arrays
+    without a second check or copy."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.integers(-30, 29), min_size=2, max_size=70),
+        nondecreasing=st.booleans(),
+    )
+    def test_take_equals_the_public_constructor(self, rows, nondecreasing):
+        rows = np.array(rows)
+        if nondecreasing:  # a bootstrap replicate: orders derived from PRICED's
+            rows = np.sort(rows % PRICED.n_sims)
+        sub = PRICED.take(rows)
+        ref = PsaSample(
+            PRICED.param_names, PRICED.params[rows], PRICED.nb[rows],
+            effects=PRICED.effects[rows], costs=PRICED.costs[rows], k=PRICED.k,
+            treatment_names=PRICED.treatment_names,
+        )
+        for name in ("params", "nb", "effects", "costs"):
+            got, want = getattr(sub, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert (sub.param_names, sub.k, sub.treatment_names) == (
+            ref.param_names, ref.k, ref.treatment_names
+        )
+        for p in (0, 1):
+            order = sub.param_order(p)
+            assert np.array_equal(order, np.argsort(sub.params[:, p], kind="stable"))
+            assert not order.flags.writeable
+
+    def test_at_wtp_shares_all_but_nb(self):
+        rebuilt = PRICED.at_wtp(250.0)
+        assert rebuilt.nb.tobytes() == (250.0 * PRICED.effects - PRICED.costs).tobytes()
+        assert not rebuilt.nb.flags.writeable
+        assert rebuilt.k == 250.0
+        for name in ("params", "effects", "costs", "_orders"):
+            assert getattr(rebuilt, name) is getattr(PRICED, name)
+        assert rebuilt.param_order(1) is PRICED.param_order(1)
+
+    def test_with_nb_shares_params_and_orders(self):
+        nb = PRICED.nb - PRICED.nb[:, :1]
+        contrast = PRICED._with_nb(nb)
+        assert contrast.nb is nb and not nb.flags.writeable
+        assert contrast.params is PRICED.params
+        assert contrast._orders is PRICED._orders
+        assert contrast.effects is None and contrast.costs is None
+
+    @pytest.mark.filterwarnings("ignore:parameter column is constant")
+    def test_row_subset_of_an_accepted_sample_is_accepted(self):
+        # the nb/effects/costs tolerance scales with max|nb| = 1e6, so the
+        # 1e-4 offset passes; a subset of row 1 alone has max|nb| = 10
+        effects = np.array([[0.0, 100.0], [0.0, 0.001], [0.0, 50.0]])
+        costs = np.zeros((3, 2))
+        nb = 1e4 * effects - costs
+        nb[1, 1] += 1e-4
+        sample = PsaSample(
+            ("x",), np.array([[0.0], [1.0], [2.0]]), nb=nb,
+            effects=effects, costs=costs, k=1e4,
+        )
+        assert sample.take([1, 1]).nb.tobytes() == nb[[1, 1]].tobytes()
+        # seed 0 draws row 1 three times (a constant column) in one of the
+        # 20 replicates
+        estimate = with_bootstrap(
+            so_evppi(sample, 0, 1), lambda s: so_evppi(s, 0, 1), sample,
+            BootstrapConfig(20, seed=0),
+        )
+        assert estimate.diagnostics["bootstrap_failures"] == 0
+
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param(np.array([0.0, 1.0]), "integer", id="float"),
+        pytest.param(np.array([[0, 1], [1, 2]]), "1-D", id="2-D"),
+        pytest.param(np.array([3]), "at least 2", id="one row"),
+        pytest.param(np.array([0, 30]), "out of range", id="past the end"),
+        pytest.param(np.array([-31, 0]), "out of range", id="before the start"),
+    ])
+    def test_take_rejects_bad_rows(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            PRICED.take(rows)
 
 
 class TestEvppiEstimate:
