@@ -250,27 +250,26 @@ def cmd_evppi(args) -> int:
 
 
 def _compare_cell(sample, method, names, args, model=None):
-    try:
-        if method == "MC":
-            if model is None:
-                return {"error": "nested MC needs a model spec (--model)"}
-            gen = model_for(model)
-            subset = ParamSubset.from_names(names, gen.param_names)
-            est = nested_mc_evppi(
-                gen, subset, k=_wtp(args),
-                n_outer=args.mc_outer, n_inner=args.mc_inner, seed=args.seed,
-            )
-            return est.to_dict()
-        if method in ("SO", "SAD") and len(names) != 1:
-            return {"error": "single-parameter method"}
-        if method == "SAD":
-            changes = _parse_changes(args.changes, names, sample.param_names)
-            if names[0] not in changes:
-                return {"error": "changes not provided"}
-        est, _ = _estimate_for_method(sample, method.lower(), names, args)
+    """One cell of the comparison: the estimate, or ``{"error": reason}``
+    when the method does not apply.  An estimator that fails raises."""
+    if method == "MC":
+        if model is None:
+            return {"error": "nested MC needs a model spec (--model)"}
+        gen = model_for(model)
+        subset = ParamSubset.from_names(names, gen.param_names)
+        est = nested_mc_evppi(
+            gen, subset, k=_wtp(args),
+            n_outer=args.mc_outer, n_inner=args.mc_inner, seed=args.seed,
+        )
         return est.to_dict()
-    except (_UsageError, ValueError, EstimationError) as exc:
-        return {"error": str(exc)}
+    if method in ("SO", "SAD") and len(names) != 1:
+        return {"error": "single-parameter method"}
+    if method == "SAD":
+        changes = _parse_changes(args.changes, names, sample.param_names)
+        if names[0] not in changes:
+            return {"error": "changes not provided"}
+    est, _ = _estimate_for_method(sample, method.lower(), names, args)
+    return est.to_dict()
 
 
 def _format_cell(cell: dict, decimals: int) -> str:
@@ -298,8 +297,15 @@ def cmd_compare(args) -> int:
         m for m in METHOD_ORDER if m != "MC"
     ]
     rows = []
+    failures: list[str] = []  # why a cell is "-" in the table
     for names in subsets:
-        cells = {m: _compare_cell(sample, m, names, args, model=model) for m in methods}
+        cells = {}
+        for m in methods:
+            try:
+                cells[m] = _compare_cell(sample, m, names, args, model=model)
+            except (_UsageError, ValueError, EstimationError) as exc:
+                cells[m] = {"error": str(exc)}
+                failures.append(f"{m} on {','.join(names)}: {exc}")
         rows.append({"subset": names, "cells": cells})
 
     report = {
@@ -315,7 +321,7 @@ def cmd_compare(args) -> int:
             report["warnings"] = notes
         _emit_json(report)
         return 0
-    _warn(notes)
+    _warn(notes + failures)
 
     label_width = max(len(",".join(r["subset"])) for r in rows) + 2
     header = "parameter".ljust(label_width) + "".join(m.rjust(16) for m in methods)
@@ -330,8 +336,11 @@ def cmd_compare(args) -> int:
 
 
 def _k_grid(args) -> np.ndarray:
-    if args.k_list:
-        grid = np.array([float(x) for x in args.k_list.split(",")])
+    if args.k_list is not None:
+        try:
+            grid = np.array([float(x) for x in args.k_list.split(",")])
+        except ValueError:
+            raise _UsageError(f"--k-list expects comma-separated numbers, got {args.k_list!r}")
     else:
         try:
             lo, hi, step = (float(x) for x in args.k_grid.split(":"))
@@ -530,7 +539,8 @@ def _check_counts(args) -> None:
         )
     # the --mc-* floors are the ones nested_mc_evppi enforces; a --bins
     # above the sample's row count is caught per sample
-    for flag, floor in (("threads", 1), ("mc_outer", 2), ("mc_inner", 1), ("bins", 1)):
+    for flag, floor in (("threads", 1), ("mc_outer", 2), ("mc_inner", 1), ("bins", 1),
+                        ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < floor:
             name = "--" + flag.replace("_", "-")

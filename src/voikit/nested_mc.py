@@ -3,11 +3,11 @@
 This is the reference estimator the fast sample-based methods are compared
 to: for each outer draw of the parameters of interest, an inner batch of
 conditional draws of the remaining parameters estimates the conditional
-expected net benefit per treatment; the best of those is averaged over the
-outer draws, and the best overall mean is subtracted.  The model supplies
-exact conditional sampling, so unlike a posterior-simulation inner loop the
-only error is Monte Carlo noise, which is reported from the spread of the
-per-outer maxima.
+expected net benefit per treatment, and the estimate is the EVPI formula
+applied to those inner means.  The model supplies exact conditional
+sampling, so unlike a posterior-simulation inner loop the only error is
+Monte Carlo noise, which is reported from the spread of the per-outer
+maxima.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .psa import EstimationError, EvppiEstimate, ParamSubset
+from .psa import EstimationError, EvppiEstimate, ParamSubset, evpi
 
 __all__ = ["GenerativeModel", "nested_mc_evppi"]
 
@@ -55,6 +55,9 @@ def nested_mc_evppi(
     inner randomness from (seed, 1 + i), so outer iterations could run in
     any order (or in parallel) without changing the result.
 
+    The value is ``evpi`` of the n_outer x T matrix of inner means: a mean
+    of per-outer-draw terms that are each >= 0, so it is >= 0 exactly.
+
     The max over noisy inner means biases the estimate upward by
     O(1/n_inner).  Splitting each inner batch into halves of floor(n/2) and
     ceil(n/2) rows estimates that bias with no extra model runs (the
@@ -76,7 +79,6 @@ def nested_mc_evppi(
     inner_means = np.empty((n_outer, model.n_treatments))
     half = n_inner // 2
     half_sums = np.empty((n_outer, 2, model.n_treatments))
-    nb_scale = 0.0
     for i in range(n_outer):
         rng_i = np.random.default_rng([seed, 1 + i])
         try:
@@ -91,14 +93,13 @@ def nested_mc_evppi(
             half_sums[i] = np.add.reduceat(nb, (0, half), axis=0)
         else:
             inner_means[i] = nb[0]
-        nb_scale = max(nb_scale, float(nb.max()), -float(nb.min()))
 
     if half:
         # the inner mean is the sum of the two half sums over n_inner
         inner_means = half_sums.sum(axis=1) / n_inner
     maxima = inner_means.max(axis=1)
     grand = inner_means.mean(axis=0)
-    value = float(maxima.mean() - grand.max())
+    value = evpi(inner_means)
     se = float(np.std(maxima, ddof=1) / math.sqrt(n_outer))
 
     diag = {
@@ -113,6 +114,4 @@ def nested_mc_evppi(
         diag["inner_bias"] = float(np.mean(half_maxima - maxima))
     else:
         diag["biased_high"] = True
-    return EvppiEstimate.clamped(
-        value, "MC", nb_scale=nb_scale, std_error=se, diagnostics=diag
-    )
+    return EvppiEstimate(value, "MC", std_error=se, diagnostics=diag)

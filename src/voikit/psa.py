@@ -27,11 +27,6 @@ __all__ = [
     "incremental_nb",
 ]
 
-# Relative slack used for "estimate >= 0" checks: tiny negatives produced by
-# floating point are clamped to zero, anything below -NEG_TOL_FACTOR*max|nb|
-# is a bug.
-NEG_TOL_FACTOR = 1e-9
-
 METHOD_TAGS = ("SO", "SAD", "GAM", "GP", "MC")
 
 
@@ -334,8 +329,11 @@ def _standardized_params(sample: PsaSample, subset: ParamSubset) -> np.ndarray:
 class EvppiEstimate:
     """An EVPPI (or EVPI) value with its method tag and diagnostics.
 
-    ``value`` is clamped at zero when floating point produces a tiny
-    negative; the raw figure is kept under ``diagnostics["raw_value"]``.
+    Every estimator computes its value as a mean of per-draw terms, each the
+    best (conditional) net benefit minus that of the treatment best on
+    average, so each term and the value are >= 0 exactly; nothing is
+    clamped.  A negative or non-finite value is a bug and raises
+    ``ValueError``.
     """
 
     value: float
@@ -346,38 +344,13 @@ class EvppiEstimate:
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
             raise ValueError(f"method must be one of {METHOD_TAGS}, got {self.method!r}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"estimate is not finite: {self.value}")
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ValueError(f"estimate must be finite and >= 0, got {self.value}")
         if self.std_error is not None and not (
             math.isfinite(self.std_error) and self.std_error >= 0
         ):
             raise ValueError(f"std_error must be finite and >= 0, got {self.std_error}")
         object.__setattr__(self, "diagnostics", dict(self.diagnostics))
-
-    @classmethod
-    def clamped(
-        cls,
-        raw_value: float,
-        method: str,
-        nb_scale: float,
-        std_error: float | None = None,
-        diagnostics: Mapping[str, object] | None = None,
-    ) -> "EvppiEstimate":
-        """Build an estimate, clamping float-level negatives to zero.
-
-        ``nb_scale`` is max|nb| of the data the estimate came from; negatives
-        beyond the numeric tolerance indicate a broken estimator and raise.
-        """
-        diag = dict(diagnostics or {})
-        value = float(raw_value)
-        if value < 0:
-            if value < -NEG_TOL_FACTOR * max(nb_scale, 1e-300):
-                raise EstimationError(
-                    f"{method} estimate {value} is negative beyond numerical tolerance"
-                )
-            diag["raw_value"] = value
-            value = 0.0
-        return cls(value=value, method=method, std_error=std_error, diagnostics=diag)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (full precision)."""

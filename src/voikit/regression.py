@@ -48,6 +48,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_replicates < 2:
             raise ValueError(f"need at least 2 bootstrap replicates, got {self.n_replicates}")
+        if self.seed < 0:
+            raise ValueError(f"bootstrap seed must be >= 0, got {self.seed}")
 
 
 def fit_regression(
@@ -100,10 +102,9 @@ def regression_evppi(fit: tuple[np.ndarray, list[dict]], method: str) -> EvppiEs
     ``ValueError``.
     """
     fitted, records = fit
-    return EvppiEstimate.clamped(
+    return EvppiEstimate(
         evpi(fitted),
         method,
-        nb_scale=float(np.max(np.abs(fitted))),
         diagnostics={
             "residual_var": [r["residual_var"] for r in records],
             "hyperparameters": list(records),

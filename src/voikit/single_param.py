@@ -164,10 +164,7 @@ def so_evppi(sample: PsaSample, p: int, n_bins: int) -> EvppiEstimate:
         "bin_argmax": best.tolist(),
         **_phi_diagnostics(tied),
     }
-    return EvppiEstimate.clamped(
-        float(maxima.sum()) / sample.n_sims, "SO",
-        nb_scale=float(np.max(np.abs(sample.nb))), diagnostics=diag,
-    )
+    return EvppiEstimate(float(maxima.sum()) / sample.n_sims, "SO", diagnostics=diag)
 
 
 def so_bias(
@@ -379,13 +376,12 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
             f"more decision changes than {n_distinct} distinct parameter values allow"
         )
     diag: dict = {"changes": int(n_changes), **_phi_diagnostics(tied)}
-    nb_scale = float(np.max(np.abs(sample.nb)))
 
     if n_changes == 0:
         diag["cut_ranks"] = []
         diag["cut_values"] = []
         diag["segment_treatments"] = [int(np.argmax(sample.nb.sum(axis=0)))]
-        return EvppiEstimate.clamped(0.0, "SAD", nb_scale, diagnostics=diag)
+        return EvppiEstimate(0.0, "SAD", diagnostics=diag)
 
     prefix = _relative_prefix_sums(sample.nb[perm])
     best, cut_ranks = _best_cuts(prefix, n_changes, tied)
@@ -395,7 +391,7 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
     diag["cut_values"] = [float(phi_sorted[c]) for c in cut_ranks]
     _, segment_best = _segment_maxima(prefix, [0, *cut_ranks, sample.n_sims])
     diag["segment_treatments"] = segment_best.tolist()
-    return EvppiEstimate.clamped(value, "SAD", nb_scale, diagnostics=diag)
+    return EvppiEstimate(value, "SAD", diagnostics=diag)
 
 
 def cumsum_curve(sample: PsaSample, p: int, t: int, t_prime: int) -> CumsumCurve:

@@ -229,6 +229,26 @@ class TestCompareCommand:
             cell = cells[method]
             assert abs(cell["value"] - target) <= 2.0 * (cell["std_error"] + ref_se), method
 
+    def test_table_names_why_an_estimator_cell_is_blank(self, capsys, toy_csv):
+        # SO raises on too many bins and says so on stderr; SAD does not
+        # apply without --changes and stays silent
+        args = [
+            "compare", "--file", toy_csv, "--params", "risk_reduction",
+            "--bootstrap", "0", "--bins", "5000",
+        ]
+        rc, out, err = _run(capsys, args)
+        assert rc == 0
+        row = out.splitlines()[1].split()
+        assert row[1:3] == ["-", "-"]
+        assert err == (
+            "voikit: warning: SO on risk_reduction: bin count must be in "
+            "[1, 2000], got 5000\n"
+        )
+        rc, json_out, json_err = _run(capsys, args + ["--format", "json"])
+        assert rc == 0 and json_err == ""
+        cells = json.loads(json_out)["rows"][0]["cells"]
+        assert cells["SO"] == {"error": "bin count must be in [1, 2000], got 5000"}
+
     def test_identical_columns_give_all_zero_row(self, capsys, tmp_path):
         col = np.random.default_rng(0).normal(size=300)
         lines = ["param:x,nb:0,nb:1"]
@@ -401,6 +421,15 @@ class TestSweepCommand:
         for e, p in zip(payload["evpi"], payload["evppi"]["risk_reduction"]):
             assert p <= e + 1e-9
 
+    def test_empty_k_list_is_a_usage_error(self, capsys, toy_csv):
+        # not the default grid
+        rc, out, err = _run(capsys, [
+            "sweep", "--file", toy_csv, "--params", "risk_reduction", "--k-list", "",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == "voikit: error: --k-list expects comma-separated numbers, got ''\n"
+
     def test_bad_grid(self, capsys, toy_csv):
         rc, _, err = _run(capsys, [
             "sweep", "--file", toy_csv, "--params", "risk_reduction",
@@ -485,6 +514,17 @@ class TestSimulateCommand:
             assert rc == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_negative_seed_rejected_before_writing(self, capsys, tmp_path):
+        out_path = tmp_path / "sim.csv"
+        rc, out, err = _run(capsys, [
+            "simulate", "--model", "toy", "--sims", "50", "--seed", "-1",
+            "--out", str(out_path),
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == "voikit: error: --seed must be at least 0, got -1\n"
+        assert not out_path.exists()
+
     def test_unwritable_path(self, capsys):
         rc, _, err = _run(capsys, [
             "simulate", "--model", "toy", "--sims", "100",
@@ -566,6 +606,19 @@ class TestUsageErrors:
              "--mc-inner", "0"],
             "--mc-inner must be at least 1, got 0",
             id="mc-inner",
+        ),
+        *(
+            pytest.param(
+                command + ["--params", "phi", "--seed", "-1"],
+                "--seed must be at least 0, got -1",
+                id=f"seed-{name}",
+            )
+            for name, command in (
+                ("compare-table", ["compare", "--changes", "1", "--bootstrap", "2"]),
+                ("compare-json", ["compare", "--format", "json"]),
+                ("evppi", ["evppi", "--method", "gam"]),
+                ("sweep", ["sweep"]),
+            )
         ),
     ])
     def test_bad_count_rejected_before_any_work(self, capsys, tmp_path, argv, message):

@@ -57,8 +57,13 @@ def test_degenerate_model_is_zero_with_zero_se():
 
 
 def test_equal_arms_give_zero_value():
-    est = nested_mc_evppi(_EqualArmsModel(), ParamSubset.of(0), 0.0, 200, 20, seed=2)
-    assert est.value == 0.0
+    # each term of the value is a best inner mean minus itself: exactly +0.0
+    for seed in range(8):
+        for n_inner in (1, 20):
+            est = nested_mc_evppi(
+                _EqualArmsModel(), ParamSubset.of(0), 0.0, 200, n_inner, seed=seed
+            )
+            assert est.value == 0.0 and math.copysign(1.0, est.value) == 1.0
 
 
 def test_linear_gaussian_oracle(lin_spec):

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from voikit import (
     BootstrapConfig,
-    EstimationError,
     EvppiEstimate,
     ParamSubset,
     PsaSample,
@@ -325,19 +324,15 @@ class TestEvppiEstimate:
         with pytest.raises(ValueError, match="std_error"):
             EvppiEstimate(value=1.0, method="SO", std_error=-0.1)
 
-    def test_clamp_keeps_raw_value(self):
-        est = EvppiEstimate.clamped(-1e-13, "GAM", nb_scale=1.0)
-        assert est.value == 0.0
-        assert est.diagnostics["raw_value"] == -1e-13
-
-    def test_negative_beyond_tolerance_raises(self):
-        with pytest.raises(EstimationError, match="negative"):
-            EvppiEstimate.clamped(-1.0, "GAM", nb_scale=1.0)
+    def test_negative_or_non_finite_value_rejected(self):
+        # every estimator's formula is >= 0 exactly, so any negative is a bug
+        for value in (-1e-13, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                EvppiEstimate(value=value, method="GAM")
 
     def test_to_dict_is_json_friendly(self):
-        est = EvppiEstimate.clamped(
-            0.5, "GP", nb_scale=1.0,
-            diagnostics={"arr": np.array([1.0, 2.0]), "n": np.int64(3)},
+        est = EvppiEstimate(
+            0.5, "GP", diagnostics={"arr": np.array([1.0, 2.0]), "n": np.int64(3)},
         )
         d = est.to_dict()
         assert d["diagnostics"]["arr"] == [1.0, 2.0]

@@ -81,6 +81,24 @@ class TestRegressionEvppi:
             fitted = rng.normal(size=(20, 3))
             assert regression_evppi(_fit_with(fitted), "GAM").value >= 0.0
 
+    @pytest.mark.parametrize("estimator", [gam_evppi, gp_evppi], ids=["GAM", "GP"])
+    def test_degenerate_samples_give_positive_values(self, estimator):
+        # a -0.0 would print as -0.0 in JSON
+        rng = np.random.default_rng(5)
+        phi = rng.normal(size=60)
+        tied = np.round(phi)  # a handful of distinct values
+        col = rng.normal(size=60)
+        cases = {
+            "identical arms": (phi, [col, col, col + 1.0]),
+            "all arms equal": (phi, [col, col, col]),
+            "tied parameter": (tied, [col, -col]),
+            "signed zeros": (phi, [np.zeros(60), np.full(60, -0.0)]),
+        }
+        for name, (x, cols) in cases.items():
+            sample = make_sample(np.column_stack(cols), phi=x)
+            value = estimator(sample, ParamSubset.of(0)).value
+            assert value >= 0 and math.copysign(1.0, value) == 1.0, name
+
 
 class TestRegressionFitValidation:
     def test_non_finite_fitted(self):
@@ -98,6 +116,10 @@ class TestBootstrap:
     def test_config_requires_two_replicates(self):
         with pytest.raises(ValueError, match="at least 2"):
             BootstrapConfig(n_replicates=1)
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="bootstrap seed must be >= 0, got -1"):
+            BootstrapConfig(n_replicates=2, seed=-1)
 
     def test_constant_estimator_has_zero_se(self, lin_sample):
         se = bootstrap_se(lambda s: 1.25, lin_sample, BootstrapConfig(10, seed=0))

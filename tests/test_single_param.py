@@ -759,6 +759,43 @@ class TestSadEvppi:
             sad_evppi(tiny, 0, 3)
 
 
+@st.composite
+def _degenerate_samples(draw):
+    """Small samples full of ties: a few parameter values, net benefits from
+    a few values (signed zeros included), and columns that may repeat."""
+    n = draw(st.integers(2, 12))
+    n_t = draw(st.integers(2, 4))
+    phi = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0, 3.5]),
+                        min_size=n, max_size=n))
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-3, -2.5e6])
+    cols = draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                         min_size=n_t, max_size=n_t))
+    shape = draw(st.sampled_from(["free", "identical arms", "all arms equal"]))
+    if shape == "identical arms":
+        cols[-1] = cols[0]
+    elif shape == "all arms equal":
+        cols = [cols[0]] * n_t
+    return make_sample(np.column_stack(cols), phi=phi)
+
+
+def _positive(value):
+    """>= 0 with a positive sign bit: a -0.0 would print as -0.0 in JSON."""
+    return value >= 0 and math.copysign(1.0, value) == 1.0
+
+
+class TestExactlyNonnegative:
+    @settings(max_examples=300, deadline=None)
+    @given(sample=_degenerate_samples())
+    def test_so_and_sad_on_ties_and_equal_arms(self, sample):
+        n_distinct = np.unique(sample.params[:, 0]).size  # -0.0 ties 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # constant column
+            for m in range(1, sample.n_sims + 1):
+                assert _positive(so_evppi(sample, 0, m).value), m
+            for d in range(min(4, n_distinct)):
+                assert _positive(sad_evppi(sample, 0, d).value), d
+
+
 class TestCumsumCurve:
     def test_identical_treatments_give_flat_zero(self):
         col = np.random.default_rng(6).normal(size=30)
