@@ -359,7 +359,10 @@ def _k_grid(args) -> np.ndarray:
 def cmd_sweep(args) -> int:
     if args.model:
         spec = _load_spec(args.model)
-        sample = generate_psa(spec, args.sims, seed=args.seed, k=_wtp(args))
+        sims = 10_000 if args.sims is None else args.sims
+        sample = generate_psa(spec, sims, seed=args.seed, k=_wtp(args))
+    elif args.sims is not None:
+        raise _UsageError("--sims applies only with --model; --file fixes the sample")
     else:
         sample = read_psa_csv(args.file, k=_wtp(args))
     if sample.effects is None:
@@ -498,10 +501,11 @@ def build_parser() -> _Parser:
     group.add_argument("--model")
     p.add_argument("--params", required=True)
     p.add_argument("--method", choices=("so", "sad", "gam", "gp"), default="gam")
-    p.add_argument("--k-grid", default="0:50000:2500", help="min:max:step")
-    p.add_argument("--k-list", default=None, help="explicit comma-separated grid")
-    p.add_argument("--sims", type=int, default=10_000,
-                   help="simulations when generating from a model spec")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--k-grid", default="0:50000:2500", help="min:max:step")
+    grid.add_argument("--k-list", default=None, help="explicit comma-separated grid")
+    p.add_argument("--sims", type=int, default=None,
+                   help="simulations when generating from a model spec (default 10000)")
     _add_common(p)
     # one estimate per grid point, without standard errors
     p.set_defaults(func=cmd_sweep, bootstrap=0, threads=1)

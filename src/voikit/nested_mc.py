@@ -67,6 +67,10 @@ def nested_mc_evppi(
     the estimate is biased high.  With ``n_inner=1`` the inner mean
     degenerates to a single draw and the estimate is the plug-in
     full-information value; the diagnostics flag it ``biased_high`` instead.
+
+    A model that raises, or returns a net benefit that is not a finite
+    (n_inner, T) array, fails with an ``EstimationError`` naming the outer
+    draw and its phi.
     """
     if n_outer < 2:
         raise ValueError(f"need at least 2 outer draws, got {n_outer}")
@@ -79,16 +83,23 @@ def nested_mc_evppi(
     inner_means = np.empty((n_outer, model.n_treatments))
     half = n_inner // 2
     half_sums = np.empty((n_outer, 2, model.n_treatments))
+    shape = (n_inner, model.n_treatments)
+
+    def failure(i, reason) -> EstimationError:
+        return EstimationError(
+            f"model evaluation failed at outer draw {i} "
+            f"(phi={outer_theta[i, idx].tolist()}): {reason}"
+        )
+
     for i in range(n_outer):
         rng_i = np.random.default_rng([seed, 1 + i])
         try:
             theta = model.sample_conditional(idx, outer_theta[i, idx], n_inner, rng_i)
             nb = np.atleast_2d(model.net_benefit(theta, k))
+            if nb.shape != shape:
+                raise ValueError(f"net benefit has shape {nb.shape}, expected {shape}")
         except Exception as exc:
-            raise EstimationError(
-                f"model evaluation failed at outer draw {i} "
-                f"(phi={outer_theta[i, idx].tolist()}): {exc}"
-            ) from exc
+            raise failure(i, exc) from exc
         if half:
             half_sums[i] = np.add.reduceat(nb, (0, half), axis=0)
         else:
@@ -97,6 +108,11 @@ def nested_mc_evppi(
     if half:
         # the inner mean is the sum of the two half sums over n_inner
         inner_means = half_sums.sum(axis=1) / n_inner
+    # a non-finite entry of a draw's net benefit leaves its inner mean
+    # non-finite; one check over all draws costs less than one per draw
+    bad = np.flatnonzero(~np.isfinite(inner_means).all(axis=1))
+    if bad.size:
+        raise failure(int(bad[0]), "net benefit is not finite")
     maxima = inner_means.max(axis=1)
     grand = inner_means.mean(axis=0)
     value = evpi(inner_means)

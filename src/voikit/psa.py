@@ -99,6 +99,9 @@ class ParamSubset:
             raise ValueError(
                 f"unknown parameter name(s) {missing}; available: {list(param_names)}"
             )
+        twice = [n for i, n in enumerate(names) if n in names[:i]]
+        if twice:
+            raise ValueError(f"parameter {twice[0]!r} is given twice in the subset")
         return cls(tuple(lookup[n] for n in names))
 
     def validate_against(self, n_params: int) -> None:

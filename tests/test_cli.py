@@ -572,6 +572,44 @@ class TestUsageErrors:
         assert e.value.code == 1
         assert "not allowed with argument" in capsys.readouterr().err
 
+    def test_k_grid_and_k_list_are_exclusive(self, capsys, toy_csv):
+        # the k-list used to win silently
+        with pytest.raises(SystemExit) as e:
+            main([
+                "sweep", "--file", toy_csv, "--params", "risk_reduction",
+                "--k-grid", "0:40000:20000", "--k-list", "5,6",
+            ])
+        assert e.value.code == 1
+        assert (
+            "argument --k-list: not allowed with argument --k-grid"
+            in capsys.readouterr().err
+        )
+
+    def test_sims_with_file_is_a_usage_error(self, capsys, toy_csv):
+        # the file fixes the sample, so --sims used to be ignored
+        rc, out, err = _run(capsys, [
+            "sweep", "--file", toy_csv, "--params", "risk_reduction", "--sims", "500",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "voikit: error: --sims applies only with --model; --file fixes the sample\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["evppi", "--method", "gam"],
+        ["compare", "--bootstrap", "0"],
+    ], ids=["evppi", "compare"])
+    def test_repeated_parameter_is_named(self, capsys, toy_csv, argv):
+        rc, out, err = _run(capsys, [
+            *argv, "--file", toy_csv, "--params", "risk_reduction,risk_reduction",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "voikit: error: parameter 'risk_reduction' is given twice in the subset\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--bootstrap", "--threads"])
     def test_sweep_has_no_bootstrap_flags(self, capsys, toy_csv, flag):
         # a sweep reports values only, so replicates would be thrown away

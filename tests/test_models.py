@@ -1,5 +1,6 @@
 """Synthetic models: closed-form oracle, generators, brute-force oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -185,6 +186,105 @@ class TestToySpecValidation:
         model = NonlinearToyModel(NonlinearToySpec(cost_vaccine_sigma=0.0))
         draws = model._draw_column("cost_vaccine", 5, np.random.default_rng(0))
         assert draws == pytest.approx(np.full(5, 192.0), rel=1e-14)
+
+
+# every field distinct, so a column that read the wrong field would show
+_DISTINCT_TOY = NonlinearToySpec(
+    infection_alpha=4.1, infection_beta=6.2, reduction_alpha=5.3, reduction_beta=4.4,
+    complication_alpha=2.5, complication_beta=8.6, cost_treatment_mean=210.0,
+    cost_treatment_sigma=0.31, cost_complication_mean=1900.0, cost_complication_sigma=0.27,
+    cost_vaccine_mean=180.0, cost_vaccine_sigma=0.15, qaly_infection_mean=0.009,
+    qaly_infection_sigma=0.33, qaly_complication_mean=0.06, qaly_complication_sigma=0.22,
+)
+_DISTINCT_LG = LinearGaussianSpec(mu_phi=0.5, sigma_phi=2.0, mu_psi=-1.0, sigma_psi=0.3)
+
+
+def _reference_draws(s, n, rng, pinned):
+    """A spec's draws written out as plain generator calls, column by
+    column; ``pinned`` maps a column to its value, which takes no draw."""
+
+    def lognormal(mean, sigma):
+        return rng.lognormal(math.log(mean) - sigma * sigma / 2, sigma, size=n)
+
+    if isinstance(s, LinearGaussianSpec):
+        draws = [
+            lambda: rng.normal(s.mu_phi, s.sigma_phi, size=n),
+            lambda: rng.normal(s.mu_psi, s.sigma_psi, size=n),
+        ]
+    else:
+        draws = [
+            lambda: rng.beta(s.infection_alpha, s.infection_beta, size=n),
+            lambda: rng.beta(s.reduction_alpha, s.reduction_beta, size=n),
+            lambda: rng.beta(s.complication_alpha, s.complication_beta, size=n),
+            lambda: lognormal(s.cost_treatment_mean, s.cost_treatment_sigma),
+            lambda: lognormal(s.cost_complication_mean, s.cost_complication_sigma),
+            lambda: lognormal(s.cost_vaccine_mean, s.cost_vaccine_sigma),
+            lambda: lognormal(s.qaly_infection_mean, s.qaly_infection_sigma),
+            lambda: lognormal(s.qaly_complication_mean, s.qaly_complication_sigma),
+        ]
+    return np.column_stack([
+        np.full(n, pinned[j]) if j in pinned else draw() for j, draw in enumerate(draws)
+    ])
+
+
+# family -> (value, bound) cases for its first and its second spec field
+_FAMILY_DOMAINS = {
+    "normal": ([], [(0.0, "> 0"), (-1.0, "> 0")]),
+    "beta": ([(0.0, "> 0"), (-1.0, "> 0")], [(0.0, "> 0"), (-1.0, "> 0")]),
+    "lognormal": ([(0.0, "> 0"), (-1.0, "> 0")], [(-0.1, ">= 0")]),
+}
+_OUT_OF_DOMAIN = [
+    (spec_type, field, value, bound)
+    for spec_type, model_type in (
+        (LinearGaussianSpec, LinearGaussianModel),
+        (NonlinearToySpec, NonlinearToyModel),
+    )
+    for family, *pair in model_type._columns.values()
+    for field, cases in zip(pair, _FAMILY_DOMAINS[family])
+    for value, bound in cases
+]
+
+
+class TestColumnTables:
+    @pytest.mark.parametrize("spec, pinned", [
+        (_DISTINCT_LG, {}),
+        (_DISTINCT_LG, {0: 0.7}),
+        (_DISTINCT_LG, {1: -2.0}),
+        (_DISTINCT_LG, {0: 0.7, 1: -2.0}),
+        (_DISTINCT_TOY, {}),
+        (_DISTINCT_TOY, {1: 0.5, 5: 100.0}),
+        (_DISTINCT_TOY, {0: 0.3, 7: 0.01}),
+        (_DISTINCT_TOY, {j: 0.1 * (j + 1) for j in range(8)}),
+    ], ids=["lg", "lg-phi", "lg-psi", "lg-both", "toy", "toy-rr,vac", "toy-first,last",
+            "toy-all"])
+    def test_draws_equal_plain_generator_calls_in_column_order(self, spec, pinned):
+        model = model_for(spec)
+        expected = _reference_draws(spec, 64, np.random.default_rng(17), pinned)
+        if pinned:
+            got = model.sample_conditional(
+                list(pinned), list(pinned.values()), 64, np.random.default_rng(17)
+            )
+        else:
+            got = model.sample_joint(64, np.random.default_rng(17))
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("model_type, spec_type, left_out", [
+        (LinearGaussianModel, LinearGaussianSpec, {"a", "b", "c"}),
+        (NonlinearToyModel, NonlinearToySpec, set()),
+    ], ids=["lg", "toy"])
+    def test_table_names_each_spec_field_once(self, model_type, spec_type, left_out):
+        named = [f for _, *pair in model_type._columns.values() for f in pair]
+        assert len(named) == len(set(named))
+        spec_fields = {f.name for f in dataclasses.fields(spec_type)}
+        assert set(named) <= spec_fields
+        assert spec_fields - set(named) == left_out
+        assert model_type.param_names == tuple(model_type._columns)
+
+    @pytest.mark.parametrize("spec_type, field, value, bound", _OUT_OF_DOMAIN,
+                             ids=[f"{field}={value}" for _, field, value, _ in _OUT_OF_DOMAIN])
+    def test_field_outside_its_domain_is_rejected_by_name(self, spec_type, field, value, bound):
+        with pytest.raises(ValueError, match=f"^{field} must be {bound}$"):
+            spec_type(**{field: value})
 
 
 class TestExactInnerExpectation:

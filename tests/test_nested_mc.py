@@ -1,6 +1,7 @@
 """Two-level Monte Carlo estimator against the generative-model contract."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,45 @@ def test_full_subset_matches_plain_mc_evpi(lin_spec):
 def test_model_failure_reports_draw_coordinates():
     with pytest.raises(EstimationError, match="outer draw 0"):
         nested_mc_evppi(_BrokenModel(), ParamSubset.of(0), 0.0, 10, 5, seed=0)
+
+
+class _NanTailModel(LinearGaussianModel):
+    """Net benefit is NaN where phi > 2.5."""
+
+    def net_benefit(self, theta, k=None):
+        nb = super().net_benefit(theta, k)
+        nb[theta[:, 0] > 2.5] = np.nan
+        return nb
+
+
+class _OneArmModel(LinearGaussianModel):
+    """Returns only arm 1's net benefit, shape (n,) instead of (n, 2)."""
+
+    def net_benefit(self, theta, k=None):
+        return super().net_benefit(theta, k)[:, 1]
+
+
+def test_non_finite_net_benefit_names_the_outer_draw(lin_spec):
+    model = _NanTailModel(lin_spec)
+    phi = model.sample_joint(400, np.random.default_rng([0, 0]))[:, 0]
+    i = int(np.argmax(phi > 2.5))
+    assert phi[i] > 2.5
+    with pytest.raises(EstimationError, match="^" + re.escape(
+        f"model evaluation failed at outer draw {i} (phi=[{float(phi[i])!r}]): "
+        "net benefit is not finite"
+    )):
+        nested_mc_evppi(model, ParamSubset.of(0), 0.0, 400, 20, seed=0)
+
+
+@pytest.mark.parametrize("n_inner", [1, 20])
+def test_net_benefit_of_the_wrong_shape_is_rejected(lin_spec, n_inner):
+    # (n_inner,) used to broadcast into both arms and give 0.0
+    with pytest.raises(EstimationError, match=(
+        rf"^model evaluation failed at outer draw 0 .*: net benefit has shape "
+        rf"\(1, {n_inner}\), expected \({n_inner}, 2\)$"
+    )):
+        nested_mc_evppi(_OneArmModel(lin_spec), ParamSubset.of(0), 0.0, 400, n_inner,
+                        seed=0)
 
 
 def test_size_validation(lin_spec):

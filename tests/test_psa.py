@@ -152,6 +152,11 @@ class TestParamSubset:
         with pytest.raises(ValueError, match="unknown parameter"):
             ParamSubset.from_names(["zzz"], ["a", "b"])
 
+    def test_repeated_name_is_named(self):
+        # not only as duplicate indices (0, 1, 0)
+        with pytest.raises(ValueError, match="^parameter 'a' is given twice in the subset$"):
+            ParamSubset.from_names(["a", "b", "a"], ["a", "b", "c"])
+
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ParamSubset.of(5).validate_against(3)
