@@ -462,8 +462,9 @@ def _add_common(p):
 
 def _add_bootstrap(p, default):
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for bootstrap replicates; results are "
-                        "identical at any setting")
+                   help="worker threads for bootstrap replicates, the only "
+                        "parallelism (fits run OpenBLAS at one thread); results "
+                        "are identical at any setting")
     p.add_argument("--bootstrap", type=int, default=default,
                    help="bootstrap replicates for standard errors (0 = skip)")
 

@@ -23,9 +23,12 @@ sums, X'X, X'y and the fitted values are formed over blocks of
 ``_CHUNK_ROWS`` rows; beyond the S x T response and fitted values, a fit's
 memory does not grow with S.
 
-A fit calls numpy only.  scipy bundles its own OpenBLAS, and a fit that
-alternated numpy products with scipy's LAPACK woke the two libraries'
-thread pools in turn, which cost more than the arithmetic at S = 10^4.
+A fit calls numpy only, so it never loads scipy's OpenBLAS, and it runs
+numpy's at one thread (:func:`voikit._blas.one_blas_thread`).  Both
+choices keep OpenBLAS thread pools out of a fit: a fit that alternated
+numpy products with scipy's LAPACK woke the two pools in turn, and a
+threaded numpy split the chunked Gram products over idle-spinning
+workers; either cost more than the arithmetic at S = 10^4.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .psa import ParamSubset, PsaSample, _standardized_params
 
 __all__ = ["gam_fit_detail", "MAX_GAM_DIMENSIONS"]
@@ -361,6 +365,7 @@ def _default_interactions(n_dims: int) -> bool:
     return 2 <= n_dims <= 3
 
 
+@one_blas_thread()
 def gam_fit_detail(
     sample: PsaSample,
     subset: ParamSubset,

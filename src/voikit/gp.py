@@ -37,7 +37,9 @@ fit, so it reuses preallocated buffers and in-place LAPACK calls instead
 of building fresh kernel matrices each step.
 
 scipy is imported inside the functions that call it, so importing voikit
-(and running a command that fits no GP) does not load it.
+(and running a command that fits no GP) does not load it.  A fit imports
+it before it opens :func:`voikit._blas.one_blas_thread`, so that numpy's
+and scipy's OpenBLAS both run the search and the posterior at one thread.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .psa import ParamSubset, PsaSample, _standardized_params
 
 __all__ = ["GpHyperparameters", "gp_fit_detail"]
@@ -422,28 +425,31 @@ def gp_fit_detail(
     perm = rng.permutation(n_rows)
     subsample = np.sort(perm[: min(n_rows, N_HYPER_ROWS)])
 
-    search = {"log_marginal_likelihood": None, "fallback_median_heuristic": False}
-    if hyperparameters is None:
-        # positions in the sorted subsample of its first N_COARSE_ROWS draws
-        coarse = np.searchsorted(subsample, np.sort(perm[:N_COARSE_ROWS]))
-        theta, search = _fit_hyperparameters(
-            x[subsample], y[subsample], coarse, rng
-        )
-        d = x.shape[1]
-        ls = np.exp(theta[:d])
-        sf2 = math.exp(theta[d])
-        sn2 = math.exp(theta[d + 1])
-    else:
-        if len(hyperparameters.length_scales) != x.shape[1]:
-            raise ValueError(
-                f"{len(hyperparameters.length_scales)} length scales for "
-                f"{x.shape[1]} subset dimensions"
-            )
-        ls = np.asarray(hyperparameters.length_scales)
-        sf2 = hyperparameters.signal_var / y_sd**2
-        sn2 = hyperparameters.noise_var / y_sd**2
+    # load scipy's OpenBLAS before the scope opens, so that the scope sets it
+    import scipy.linalg
 
-    fitted, n_inducing = _posterior_mean(x, y, subsample, ls, sf2, sn2)
+    search = {"log_marginal_likelihood": None, "fallback_median_heuristic": False}
+    with one_blas_thread():
+        if hyperparameters is None:
+            # positions in the sorted subsample of its first N_COARSE_ROWS draws
+            coarse = np.searchsorted(subsample, np.sort(perm[:N_COARSE_ROWS]))
+            theta, search = _fit_hyperparameters(
+                x[subsample], y[subsample], coarse, rng
+            )
+            d = x.shape[1]
+            ls = np.exp(theta[:d])
+            sf2 = math.exp(theta[d])
+            sn2 = math.exp(theta[d + 1])
+        else:
+            if len(hyperparameters.length_scales) != x.shape[1]:
+                raise ValueError(
+                    f"{len(hyperparameters.length_scales)} length scales for "
+                    f"{x.shape[1]} subset dimensions"
+                )
+            ls = np.asarray(hyperparameters.length_scales)
+            sf2 = hyperparameters.signal_var / y_sd**2
+            sn2 = hyperparameters.noise_var / y_sd**2
+        fitted, n_inducing = _posterior_mean(x, y, subsample, ls, sf2, sn2)
     fitted = fitted * y_sd + y_mean
 
     info = {

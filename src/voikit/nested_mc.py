@@ -101,7 +101,10 @@ def nested_mc_evppi(
         except Exception as exc:
             raise failure(i, exc) from exc
         if half:
-            half_sums[i] = np.add.reduceat(nb, (0, half), axis=0)
+            # +inf and -inf in one half sum to nan; the check after the
+            # loop names the draw, so the reduce need not warn first
+            with np.errstate(invalid="ignore"):
+                half_sums[i] = np.add.reduceat(nb, (0, half), axis=0)
         else:
             inner_means[i] = nb[0]
 

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .gam import gam_fit_detail
 from .gp import GpHyperparameters, _record_hyperparameters, gp_fit_detail
 from .psa import EstimationError, EvppiEstimate, ParamSubset, PsaSample, evpi
@@ -129,6 +130,9 @@ def bootstrap_estimates(
     ``REPLICATE_FAILURES``) is skipped; any other exception is a bug and
     propagates.  More than 20% skipped replicates aborts, with the first
     failure as the cause.
+    The whole run, pool included, is one :func:`voikit._blas.one_blas_thread`
+    scope: OpenBLAS stays at one thread, so ``n_threads`` is the only
+    parallelism.
     """
 
     def one(b: int) -> float | Exception:
@@ -142,13 +146,14 @@ def bootstrap_estimates(
             return exc
         return float(out.value) if isinstance(out, EvppiEstimate) else float(out)
 
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    with one_blas_thread():
+        if n_threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(one, range(config.n_replicates)))
-    else:
-        results = [one(b) for b in range(config.n_replicates)]
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                results = list(pool.map(one, range(config.n_replicates)))
+        else:
+            results = [one(b) for b in range(config.n_replicates)]
 
     errors = [r for r in results if isinstance(r, Exception)]
     values = np.array([r for r in results if not isinstance(r, Exception)])

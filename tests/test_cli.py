@@ -808,3 +808,27 @@ def test_commands_without_a_smoother_never_import_scipy(tmp_path):
         )
     }
     assert report == {"fit_rows": 400}
+
+
+def test_stdout_does_not_depend_on_blas_threads(tmp_path, toy_csv):
+    # every fit runs OpenBLAS at one thread, so GP's sums no longer follow
+    # the caller's OPENBLAS_NUM_THREADS
+    src = str(Path(voikit.__file__).resolve().parents[1])
+    commands = [
+        ["evppi", "--file", toy_csv, "--method", "gp", "--params", "risk_reduction",
+         "--bootstrap", "2"],
+        ["compare", "--file", toy_csv, "--params", "p_infection,risk_reduction",
+         "--bootstrap", "2", "--threads", "2", "--format", "json"],
+    ]
+    outputs = {}
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs[blas_threads] = [
+            subprocess.run([sys.executable, "-m", "voikit.cli", *argv], env=env,
+                           cwd=tmp_path, capture_output=True, check=True).stdout
+            for argv in commands
+        ]
+    assert outputs["1"] == outputs["2"]
+    cells = json.loads(outputs["1"][1])["rows"][0]["cells"]
+    assert "value" in cells["GP"] and "value" in cells["GAM"]

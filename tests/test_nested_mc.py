@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,39 @@ def test_non_finite_net_benefit_names_the_outer_draw(lin_spec):
         "net benefit is not finite"
     )):
         nested_mc_evppi(model, ParamSubset.of(0), 0.0, 400, 20, seed=0)
+
+
+class _OppositeInfinitiesModel(LinearGaussianModel):
+    """Arm 1's first two inner rows are +inf and -inf where phi > 2.5."""
+
+    def net_benefit(self, theta, k=None):
+        nb = super().net_benefit(theta, k)
+        if theta[0, 0] > 2.5:
+            nb[:2, 1] = np.inf, -np.inf
+        return nb
+
+
+def test_opposite_infinities_name_the_outer_draw_without_a_warning(lin_spec):
+    # their half sum is nan; under the suite's error::RuntimeWarning a
+    # warning from that reduce would surface instead of the draw
+    with pytest.raises(EstimationError, match=(
+        r"^model evaluation failed at outer draw 219 \(phi=\[3\.066.*\]\): "
+        "net benefit is not finite$"
+    )):
+        nested_mc_evppi(_OppositeInfinitiesModel(lin_spec), ParamSubset.of(0), 0.0,
+                        400, 20, seed=0)
+
+
+class _WarningModel(LinearGaussianModel):
+    def net_benefit(self, theta, k=None):
+        return super().net_benefit(theta, k) + np.sqrt(-np.ones(2))
+
+
+def test_warnings_from_the_model_itself_are_not_silenced(lin_spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EstimationError, match="outer draw 0 .*invalid value"):
+            nested_mc_evppi(_WarningModel(lin_spec), ParamSubset.of(0), 0.0, 10, 4, seed=0)
 
 
 @pytest.mark.parametrize("n_inner", [1, 20])
