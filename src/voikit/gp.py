@@ -376,8 +376,12 @@ def _posterior_mean(
         vy += v @ y[start:stop]
 
     np.einsum("ii->i", vvt)[...] += max(sn2, 1e-10 * sf2)
+    # the upper triangle was never written and may hold any bits, so the
+    # solve must not check the whole factor for finiteness
     z = cho_solve(
-        cho_factor(vvt, lower=True, overwrite_a=True, check_finite=False), vy
+        cho_factor(vvt, lower=True, overwrite_a=True, check_finite=False),
+        vy,
+        check_finite=False,
     )
 
     # prediction at the sample rows: K_xu L^{-T} z

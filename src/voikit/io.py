@@ -20,6 +20,10 @@ from .psa import PsaSample, build_nb
 __all__ = ["PsaFormatError", "read_psa_csv", "write_psa_csv"]
 
 
+# rows converted to Python floats at a time by write_psa_csv
+_WRITE_BLOCK = 8192
+
+
 class PsaFormatError(ValueError):
     """The file does not follow the PSA CSV format."""
 
@@ -182,21 +186,24 @@ def write_psa_csv(path, sample: PsaSample) -> None:
         str(t) for t in range(sample.n_treatments)
     )
     header = [f"param:{n}" for n in sample.param_names]
-    blocks: list[np.ndarray] = [sample.params]
+    columns: list[np.ndarray] = [sample.params]
     if sample.effects is not None:
         header += [f"effect:{t}" for t in treatments]
         header += [f"cost:{t}" for t in treatments]
-        blocks += [sample.effects, sample.costs]
+        columns += [sample.effects, sample.costs]
     else:
         header += [f"nb:{t}" for t in treatments]
-        blocks.append(sample.nb)
-    table = np.hstack(blocks)
+        columns.append(sample.nb)
 
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        # csv writes a Python float as its repr, the shortest round-trip form
-        writer.writerows(table.tolist())
+        # csv writes a Python float as its repr, the shortest round-trip
+        # form; converting a block of rows at a time bounds how many of
+        # those floats (one object per cell) are alive at once
+        for start in range(0, sample.n_sims, _WRITE_BLOCK):
+            stop = start + _WRITE_BLOCK
+            writer.writerows(np.hstack([c[start:stop] for c in columns]).tolist())
 
 
 def write_provenance(path, payload: dict) -> None:

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .psa import ParamSubset, PsaSample, build_nb
+from .psa import ParamSubset, PsaSample, _row_max, build_nb
 
 __all__ = [
     "DEFAULT_WTP",
@@ -383,7 +383,7 @@ def brute_force_evppi(
     theta = np.tile(means, (n_outer, 1))
     theta[:, idx] = outer
     nb = model.net_benefit(theta, k)
-    maxima = nb.max(axis=1)
+    maxima = _row_max(nb)
 
     value = float(maxima.mean() - nb.mean(axis=0).max())
     se = float(np.std(maxima, ddof=1) / math.sqrt(n_outer))

@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .psa import EstimationError, EvppiEstimate, ParamSubset, evpi
+from .psa import EstimationError, EvppiEstimate, ParamSubset, _row_max, evpi
 
 __all__ = ["GenerativeModel", "nested_mc_evppi"]
 
@@ -116,7 +116,7 @@ def nested_mc_evppi(
     bad = np.flatnonzero(~np.isfinite(inner_means).all(axis=1))
     if bad.size:
         raise failure(int(bad[0]), "net benefit is not finite")
-    maxima = inner_means.max(axis=1)
+    maxima = _row_max(inner_means)
     grand = inner_means.mean(axis=0)
     value = evpi(inner_means)
     se = float(np.std(maxima, ddof=1) / math.sqrt(n_outer))
@@ -129,7 +129,7 @@ def nested_mc_evppi(
     }
     if half:
         half_means = half_sums / np.array([half, n_inner - half])[:, None]
-        half_maxima = half_means.max(axis=2).mean(axis=1)
+        half_maxima = _row_max(half_means).mean(axis=1)
         diag["inner_bias"] = float(np.mean(half_maxima - maxima))
     else:
         diag["biased_high"] = True

@@ -17,6 +17,12 @@ only in where the segment bounds go:
 
 No segment bound falls inside a run of tied parameter values, so neither
 estimate depends on the order of tied rows.
+
+Past the cached sort, an estimate makes elementwise O(S T) passes: the
+ordered net benefit is gathered with ``np.take``, the prefix sums are
+written into one preallocated array, and every best over treatments is a
+running ``np.maximum`` down the T columns (:func:`~voikit.psa._row_max`),
+never a per-row reduction, which numpy runs slowly on a short last axis.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psa import EvppiEstimate, PsaSample, incremental_nb
+from .psa import EvppiEstimate, PsaSample, _row_max, incremental_nb
 
 __all__ = [
     "CumsumCurve",
@@ -156,7 +162,8 @@ def so_evppi(sample: PsaSample, p: int, n_bins: int) -> EvppiEstimate:
     """
     perm, phi_sorted, tied = _ranked(sample, p)
     bounds = _bin_bounds(phi_sorted, n_bins)
-    prefix = _relative_prefix_sums(np.add.reduceat(sample.nb[perm], bounds[:-1], axis=0))
+    ordered = np.take(sample.nb, perm, axis=0)
+    prefix = _relative_prefix_sums(np.add.reduceat(ordered, bounds[:-1], axis=0))
     maxima, best = _segment_maxima(prefix, np.arange(bounds.size))
     diag = {
         "bins": int(bounds.size - 1),
@@ -196,7 +203,7 @@ def so_bias(
         raise _OneRowBin(
             f"a bin of {sizes.min()} row cannot estimate within-bin variance; use fewer bins"
         )
-    centered = sample.nb[perm]  # a copy, centred in place below
+    centered = np.take(sample.nb, perm, axis=0)  # a copy, centred in place below
     means = np.add.reduceat(centered, bounds[:-1], axis=0) / sizes[:, None]
     n_bins_eff, n_t = means.shape
 
@@ -213,7 +220,7 @@ def so_bias(
     eigval, eigvec = np.linalg.eigh(cov / sizes[:, None, None])
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
 
-    true_max = means.max(axis=1)
+    true_max = _row_max(means)
     rng = np.random.default_rng(seed)
     excess_sum = np.zeros(n_bins_eff)
     chunk = max(1, int(2_000_000 // max(n_bins_eff * n_t, 1)))
@@ -222,7 +229,8 @@ def so_bias(
         take = min(chunk, n_mc - done)
         draws = rng.standard_normal((take, n_bins_eff, n_t))
         noise = np.einsum("cmt,mst->cms", draws, factor)
-        noisy_max = (means + noise).max(axis=2)
+        noise += means
+        noisy_max = _row_max(noise)
         excess_sum += (noisy_max - true_max).sum(axis=0)
         done += take
     per_bin_bias = excess_sum / n_mc
@@ -280,10 +288,13 @@ def _relative_prefix_sums(nb_ordered: np.ndarray) -> np.ndarray:
     best column's own relative prefix is exactly zero, every per-segment
     maximum is exactly nonnegative (identical columns give exactly 0).
     """
-    n_t = nb_ordered.shape[1]
-    prefix = np.vstack([np.zeros(n_t), np.cumsum(nb_ordered, axis=0)])
+    n_rows, n_t = nb_ordered.shape
+    prefix = np.empty((n_rows + 1, n_t))
+    prefix[0] = 0.0
+    np.cumsum(nb_ordered, axis=0, out=prefix[1:])
     t_star = int(np.argmax(prefix[-1]))
-    return prefix - prefix[:, t_star : t_star + 1]
+    prefix -= prefix[:, [t_star]]
+    return prefix
 
 
 def _segment_maxima(prefix: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +303,7 @@ def _segment_maxima(prefix: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]
     ties).  Their total over a segmentation, divided by S, is its EVPPI
     estimate."""
     segments = prefix[bounds[1:]] - prefix[bounds[:-1]]
-    return segments.max(axis=1), segments.argmax(axis=1)
+    return _row_max(segments), segments.argmax(axis=1)
 
 
 def _best_cuts(
@@ -319,13 +330,13 @@ def _best_cuts(
     """
     n_rows = prefix.shape[0] - 1
     closed = np.concatenate([[True], tied, [False]])  # rank 0: no rows yet
-    g = prefix.max(axis=1)
+    g = _row_max(prefix)
     g[closed] = -np.inf
     layers = [g]
     for _ in range(n_cuts - 1):
         run = np.maximum.accumulate(g[:, None] - prefix, axis=0)
         g = np.full(n_rows + 1, -np.inf)
-        g[1:] = (prefix[1:] + run[:-1]).max(axis=1)
+        g[1:] = _row_max(prefix[1:] + run[:-1])
         g[closed] = -np.inf
         layers.append(g)
 
@@ -333,7 +344,7 @@ def _best_cuts(
     cuts = []
     j = n_rows
     for g in reversed(layers):
-        totals = g[:j] + (prefix[j] - prefix[:j]).max(axis=1)
+        totals = g[:j] + _row_max(prefix[j] - prefix[:j])
         i = int(np.argmax(totals))
         if best is None:
             best = float(totals[i])
@@ -383,7 +394,7 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
         diag["segment_treatments"] = [int(np.argmax(sample.nb.sum(axis=0)))]
         return EvppiEstimate(0.0, "SAD", diagnostics=diag)
 
-    prefix = _relative_prefix_sums(sample.nb[perm])
+    prefix = _relative_prefix_sums(np.take(sample.nb, perm, axis=0))
     best, cut_ranks = _best_cuts(prefix, n_changes, tied)
     value = best / sample.n_sims
 

@@ -540,3 +540,26 @@ def test_failed_polish_keeps_the_coarse_optimum(monkeypatch, polish_end):
     x, y = _standardized(sample, ParamSubset.of(0), 1)
     expected = -gp_mod._MarginalLikelihood(x, y)(starts[0])[0]
     assert info["log_marginal_likelihood"] == pytest.approx(expected, rel=1e-9)
+
+
+def test_posterior_mean_ignores_the_unwritten_upper_triangle(monkeypatch):
+    # dsyrk writes only the lower triangle of V V^T; whatever the upper one
+    # holds (here NaN) must neither raise nor move the fitted values
+    import scipy.linalg.blas as blas
+
+    sample = generate_psa(LinearGaussianSpec(), 9_000, seed=4)  # three row chunks
+    hp = GpHyperparameters(length_scales=(0.5,), signal_var=2.0, noise_var=1.0)
+    base = gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)[0]
+    real = blas.dsyrk
+    calls = []
+
+    def dsyrk_with_nan_upper(alpha, a, *args, c=None, **kwargs):
+        calls.append(c is not None)
+        if c is not None:
+            c[np.triu_indices(c.shape[0], 1)] = np.nan
+        return real(alpha, a, *args, c=c, **kwargs)
+
+    monkeypatch.setattr(blas, "dsyrk", dsyrk_with_nan_upper)
+    fitted = gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)[0]
+    assert calls == [True, True, True]
+    assert np.array_equal(fitted, base)

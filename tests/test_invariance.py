@@ -6,6 +6,11 @@ re-expressed in a way that carries the same information.
   keeps every distinct value distinct leaves them bitwise unchanged.
 * The regression estimators (GAM, GP) standardize the parameters once, so an
   affine map of the learned columns leaves them unchanged to rounding.
+* Every estimate is in net-benefit currency units: scaling the net benefit
+  by c scales it by c.  For a power of two every sum, difference and
+  maximum scales exactly, so SAD (and SO with its bias threshold scaled
+  alike) move bitwise by c and pick the same cuts and bins; GAM and GP
+  refit, so they agree to rounding.
 """
 
 import functools
@@ -111,3 +116,53 @@ def test_regression_estimates_ignore_an_affine_map(method, model, names):
         ).value
 
     assert value(moved) == pytest.approx(value(sample), rel=1e-8)
+
+
+# powers of two: multiplying by one is exact, so exact relations stay exact
+SCALES = (4.0, 0.25)
+
+
+def _scaled(sample: PsaSample, c: float) -> PsaSample:
+    return PsaSample(sample.param_names, sample.params, c * sample.nb)
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize(
+    "model, name, threshold", [(m, n, th) for m, n, _, th in MONOTONE_CASES],
+    ids=[f"{m}-{n}" for m, n, *_ in MONOTONE_CASES],
+)
+def test_single_parameter_estimates_scale_with_net_benefit(model, name, threshold, c):
+    sample = _sample(model)
+    p = sample.param_index(name)
+    scaled = _scaled(sample, c)
+
+    n_bins, bias = so_choose_bins(sample, p, threshold=threshold)
+    assert n_bins > 1
+    assert so_choose_bins(scaled, p, threshold=c * threshold) == (n_bins, c * bias)
+    base = so_evppi(sample, p, n_bins).to_dict()
+    got = so_evppi(scaled, p, n_bins).to_dict()
+    assert got.pop("value") == c * base.pop("value")
+    assert got == base
+
+    for n_changes in (1, 2, 3):
+        base = sad_evppi(sample, p, n_changes).to_dict()
+        got = sad_evppi(scaled, p, n_changes).to_dict()
+        assert got.pop("value") == c * base.pop("value")
+        assert got == base  # the same cuts and segment treatments
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("method", ["gam", "gp"])
+@pytest.mark.parametrize(
+    "model, names", AFFINE_CASES, ids=[f"{m}-{','.join(n)}" for m, n in AFFINE_CASES]
+)
+def test_regression_estimates_scale_with_net_benefit(method, model, names, c):
+    sample = _sample(model)
+    subset = ParamSubset.from_names(names, sample.param_names)
+
+    def value(s):
+        return regression_evppi(
+            fit_regression(s, subset, method=method, seed=3), method.upper()
+        ).value
+
+    assert value(_scaled(sample, c)) == pytest.approx(c * value(sample), rel=1e-8)

@@ -1,6 +1,7 @@
 """PSA CSV format: round trips and malformed-input diagnostics."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,65 @@ def test_written_bytes(tmp_path):
         b"-0.0,1e+300,0.1\r\n"
         b"5e-324,-2.5,3.0\r\n"
     )
+
+
+def _write_whole_table(path, sample):
+    """Reference writer: the whole table through one ``writerows`` of
+    ``table.tolist()``, as write_psa_csv wrote before it went by blocks."""
+    treatments = sample.treatment_names or tuple(
+        str(t) for t in range(sample.n_treatments)
+    )
+    header = [f"param:{n}" for n in sample.param_names]
+    if sample.effects is not None:
+        header += [f"effect:{t}" for t in treatments] + [f"cost:{t}" for t in treatments]
+        table = np.hstack([sample.params, sample.effects, sample.costs])
+    else:
+        header += [f"nb:{t}" for t in treatments]
+        table = np.hstack([sample.params, sample.nb])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
+
+
+WRITE_CASES = {
+    "lg-200": lambda: generate_psa(LinearGaussianSpec(), 200, seed=9),
+    # two full blocks and a partial third at the shipped block size
+    "lg-3-blocks": lambda: generate_psa(
+        LinearGaussianSpec(), 2 * io_module._WRITE_BLOCK + 5, seed=6
+    ),
+    "toy-150": lambda: generate_psa(NonlinearToySpec(), 150, seed=3, k=20_000.0),
+    "bytes-2": lambda: PsaSample(
+        param_names=("x",),
+        params=np.array([[-0.0], [5e-324]]),
+        nb=np.array([[1e300, 0.1], [-2.5, 3.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 150, io_module._WRITE_BLOCK])
+@pytest.mark.parametrize("case", list(WRITE_CASES))
+def test_block_writes_match_a_whole_table_write(tmp_path, monkeypatch, case, block):
+    # 7 divides none of the row counts; 150 divides one exactly
+    sample = WRITE_CASES[case]()
+    monkeypatch.setattr(io_module, "_WRITE_BLOCK", block)
+    write_psa_csv(tmp_path / "blocks.csv", sample)
+    _write_whole_table(tmp_path / "whole.csv", sample)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_write_memory_bounded(tmp_path):
+    # 10^5 rows of 4 columns: a whole-table write holds 400,000 Python
+    # floats in lists (about 22 MB); a block of rows holds about 2 MB
+    sample = generate_psa(LinearGaussianSpec(), 100_000, seed=1)
+    write_psa_csv(tmp_path / "warm.csv", sample.take(np.arange(100)))
+    tracemalloc.start()
+    try:
+        write_psa_csv(tmp_path / "psa.csv", sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_effect_cost_needs_k(tmp_path):

@@ -23,6 +23,8 @@ from voikit import (
     with_bootstrap,
 )
 
+from voikit.psa import _row_max
+
 from conftest import make_sample
 
 
@@ -102,6 +104,28 @@ class TestEvpi:
         assert evpi(nb * factor) == pytest.approx(
             factor * evpi(nb), rel=1e-9, abs=slack
         )
+
+
+row_max_inputs = st.integers(2, 5).flatmap(
+    lambda n_t: arrays(
+        np.float64,
+        st.one_of(
+            st.tuples(st.integers(1, 12), st.just(n_t)),
+            st.tuples(st.integers(1, 4), st.integers(1, 6), st.just(n_t)),
+        ),
+        elements=st.floats(allow_nan=False, allow_infinity=True),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=row_max_inputs)
+def test_row_max_is_the_max_over_the_last_axis(a):
+    got = _row_max(a)
+    assert got.shape == a.shape[:-1]
+    assert np.array_equal(got, a.max(axis=-1))
+    # a fresh array: callers overwrite entries of the result
+    assert not np.shares_memory(got, a)
 
 
 class TestIncrementalNb:
