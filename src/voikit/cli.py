@@ -282,13 +282,13 @@ def _format_cell(cell: dict, decimals: int) -> str:
 
 
 def cmd_compare(args) -> int:
-    sample = read_psa_csv(args.file, k=_wtp(args))
     model = _load_spec(args.model) if args.model else None
+    subsets = [_split_params(chunk) for chunk in args.params.split(";")]
+    sample = read_psa_csv(args.file, k=_wtp(args))
     notes: list[str] = []
     k = _sample_k(args.file, sample, args, notes)
     if model is not None and args.k is not None and args.k != k:
         notes.append(f"the nested-MC column uses --k {args.k:g}")
-    subsets = [_split_params(chunk) for chunk in args.params.split(";")]
     for names in subsets:
         ParamSubset.from_names(names, sample.param_names)  # fail fast on unknown names
     _parse_changes(args.changes, [], sample.param_names)  # fail fast
@@ -357,12 +357,14 @@ def _k_grid(args) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    if args.model:
-        spec = _load_spec(args.model)
+    spec = _load_spec(args.model) if args.model else None
+    if spec is None and args.sims is not None:
+        raise _UsageError("--sims applies only with --model; --file fixes the sample")
+    subsets = [_split_params(chunk) for chunk in args.params.split(";")]
+    grid = _k_grid(args)
+    if spec is not None:
         sims = 10_000 if args.sims is None else args.sims
         sample = generate_psa(spec, sims, seed=args.seed, k=_wtp(args))
-    elif args.sims is not None:
-        raise _UsageError("--sims applies only with --model; --file fixes the sample")
     else:
         sample = read_psa_csv(args.file, k=_wtp(args))
     if sample.effects is None:
@@ -375,9 +377,7 @@ def cmd_sweep(args) -> int:
             "sweep needs the effect/cost decomposition: an nb-only input fixes k, "
             "so net benefit cannot be rebuilt across the grid"
         )
-    subsets = [_split_params(chunk) for chunk in args.params.split(";")]
     _parse_changes(args.changes, [], sample.param_names)  # fail fast
-    grid = _k_grid(args)
 
     evpi_curve = []
     evppi_curves: dict[str, list[float]] = {",".join(n): [] for n in subsets}

@@ -5,19 +5,17 @@ squared-exponential kernel (one length scale per dimension) and a nugget
 absorbing the conditional-expectation residual.  Hyperparameters maximise
 the exact log marginal likelihood on a seeded subsample of at most
 ``N_HYPER_ROWS`` rows, which bounds the cubic factorisation cost.  The
-search has two levels.  The coarse level runs up to ``N_RESTARTS``
-L-BFGS-B restarts in order on the first ``N_COARSE_ROWS`` rows of the
-subsample's seeded permutation, where one likelihood evaluation costs a
-fifth to a sixth of one on 500 rows.  It stops at the first restart that
-ends on the best optimum found so far: on a well-identified column every
-restart reaches the same optimum, so a repeat is all the extra restarts
-would show.  The polish then runs one L-BFGS-B ascent of the likelihood
-of the whole subsample from that optimum, so the result is still a local
-maximum of the full-subsample likelihood; only the route to it is
-cheaper.  A subsample of at most ``N_COARSE_ROWS`` rows is searched in
-one level.  A constant column (such as the all-zero contrast of the
-reference arm, see :func:`voikit.regression.fit_regression`) is fitted
-by its mean with no search.
+search has two levels.  The coarse level runs one L-BFGS-B descent on the
+first ``N_COARSE_ROWS`` rows of the subsample's seeded permutation, where
+one likelihood evaluation costs a fifth to a sixth of one on 500 rows.  It
+starts from median-heuristic length scales, signal variance var(y) and
+noise variance var(y)/5.  The polish then runs one L-BFGS-B descent of the
+likelihood of the whole subsample from the coarse optimum, so the result
+is still a local maximum of the full-subsample likelihood; only the route
+to it is cheaper.  A subsample of at most ``N_COARSE_ROWS`` rows is
+searched in one level.  A constant column (such as the all-zero contrast
+of the reference arm, see :func:`voikit.regression.fit_regression`) is
+fitted by its mean with no search.
 
 The posterior mean at all S inputs is a subset-of-regressors fit, so every
 row informs it through its cross-covariances with a set of inducing
@@ -58,10 +56,6 @@ __all__ = ["GpHyperparameters", "gp_fit_detail"]
 N_HYPER_ROWS = 500
 # the coarse level's rows: nested in the subsample, so no extra random draws
 N_COARSE_ROWS = 200
-N_RESTARTS = 5
-# Restarts whose negative log marginal likelihoods differ by at most this,
-# relative to max(1, |value|), have reached the same optimum.
-SAME_OPTIMUM_TOL = 1e-6
 JITTER_FACTOR = 1e-8
 _PREDICT_CHUNK = 4096
 # Kernel exponents are clamped here: np.exp leaves its fast path below about
@@ -210,19 +204,13 @@ class _MarginalLikelihood:
         return nlml, grad
 
 
-def _same_optimum(fun: float, best_fun: float) -> bool:
-    """Whether a restart's end value matches ``best_fun`` to within
-    ``SAME_OPTIMUM_TOL`` relative (absolute below 1 nat)."""
-    return abs(fun - best_fun) <= SAME_OPTIMUM_TOL * max(1.0, abs(best_fun))
-
-
 def _lbfgsb(objective: _MarginalLikelihood, theta0: np.ndarray, bounds: list):
     """One bounded L-BFGS-B descent of ``objective`` from ``theta0`` (clipped
-    into the bounds), or None when it raises."""
+    into the bounds), or None when it raises or ends non-finite."""
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     try:
-        return minimize(
+        res = minimize(
             objective,
             np.clip(theta0, lo, hi),
             jac=True,
@@ -232,81 +220,52 @@ def _lbfgsb(objective: _MarginalLikelihood, theta0: np.ndarray, bounds: list):
         )
     except (np.linalg.LinAlgError, ValueError):
         return None
+    return res if math.isfinite(float(res.fun)) else None
 
 
-def _fit_hyperparameters(
-    x: np.ndarray, y: np.ndarray, coarse: np.ndarray, rng: np.random.Generator
-):
+def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, coarse: np.ndarray):
     """Two-level L-BFGS-B ascent of the log marginal likelihood of (x, y).
 
     Returns the log-parameters and the search record.  The coarse level
-    searches the rows ``coarse`` of x and y.  All ``N_RESTARTS`` starts are
-    drawn before the first one runs, so the random stream does not depend
-    on how many run.  They run in order, and the search stops at the first
-    restart that ends on the best optimum found so far (see
-    :func:`_same_optimum`), keeping the lower of the two; a restart that
-    raises or ends non-finite is skipped and never matches.  A second
-    restart reaching the same optimum from elsewhere is taken as evidence
-    that the optimum is the global one.  When none ends finite, the median
-    heuristic stands in (``fallback_median_heuristic``).
+    runs one descent on the rows ``coarse`` of x and y, from
+    median-heuristic length scales, signal variance var(y) and noise
+    variance var(y)/5.  When that descent raises or ends non-finite, the
+    median heuristic stands in (``fallback_median_heuristic``).
 
     When ``coarse`` leaves rows out, the polish then runs one L-BFGS-B
     descent on all rows from the coarse optimum (no polish follows the
     fallback).  A polish that raises or ends non-finite keeps the coarse
     optimum.  Either way ``log_marginal_likelihood`` is that of all rows.
 
-    The record says how many coarse restarts ran (``restarts_run``), how
-    many of them ended on the chosen optimum (``restarts_at_best``), the
-    row count and the number of likelihood evaluations of each level, coarse
-    first (``search_rows``, ``likelihood_evaluations``), and whether the
-    polish converged (``polish_converged``: None when none ran).
+    The record gives the row count and the number of likelihood
+    evaluations of each level, coarse first (``search_rows``,
+    ``likelihood_evaluations``), and whether the polish converged
+    (``polish_converged``: None when none ran).
     """
     d = x.shape[1]
     bounds = (
         [_LOG_BOUNDS["length"]] * d + [_LOG_BOUNDS["signal"], _LOG_BOUNDS["noise"]]
     )
     objective = _MarginalLikelihood(x[coarse], y[coarse])
-    ls0 = objective.median_heuristic()
+    log_ls0 = np.log(objective.median_heuristic())
     var_y = float(y[coarse].var())
     log_sf0 = math.log(max(var_y, 1e-6))
-    log_sn0 = math.log(max(0.2 * var_y, 1e-6))
 
-    starts = [np.concatenate([np.log(ls0), [log_sf0, log_sn0]])]
-    for _ in range(N_RESTARTS - 1):
-        starts.append(
-            np.concatenate(
-                [
-                    np.log(ls0) + rng.normal(0.0, 1.0, size=d),
-                    [log_sf0 + rng.normal(0.0, 1.0), log_sn0 + rng.normal(0.0, 1.5)],
-                ]
-            )
-        )
-
-    best = None
-    ends: list[float] = []  # each run restart's end value, nan where it failed
-    for theta0 in starts:
-        res = _lbfgsb(objective, theta0, bounds)
-        ends.append(math.nan if res is None else float(res.fun))
-        if not math.isfinite(ends[-1]):
-            continue
-        repeated = best is not None and _same_optimum(res.fun, best.fun)
-        if best is None or res.fun < best.fun:
-            best = res
-        if repeated:
-            break
-
-    if best is None:
+    res = _lbfgsb(
+        objective,
+        np.concatenate([log_ls0, [log_sf0, math.log(max(0.2 * var_y, 1e-6))]]),
+        bounds,
+    )
+    fallback = res is None
+    if fallback:
         warnings.warn(
-            "GP hyperparameter search failed for every restart; "
+            "GP hyperparameter search failed; "
             "falling back to median-heuristic length scales"
         )
-        theta = np.concatenate(
-            [np.log(ls0), [log_sf0, math.log(max(0.5 * var_y, 1e-6))]]
-        )
-        nlml, at_best = math.nan, 0
+        theta = np.concatenate([log_ls0, [log_sf0, math.log(max(0.5 * var_y, 1e-6))]])
+        nlml = math.nan
     else:
-        theta, nlml = best.x, float(best.fun)
-        at_best = sum(_same_optimum(f, best.fun) for f in ends)
+        theta, nlml = res.x, float(res.fun)
 
     rows = [int(coarse.size)]
     evaluations = [objective.evaluations]
@@ -315,22 +274,19 @@ def _fit_hyperparameters(
         objective = _MarginalLikelihood(x, y)
         rows.append(int(x.shape[0]))
         evaluations.append(0)
-        if best is not None:
+        if not fallback:
             res = _lbfgsb(objective, theta, bounds)
-            converged = False
-            if res is not None and math.isfinite(float(res.fun)):
-                theta, nlml = res.x, float(res.fun)
-                converged = bool(res.success)
-            else:
+            converged = res is not None and bool(res.success)
+            if res is None:
                 nlml = math.nan
+            else:
+                theta, nlml = res.x, float(res.fun)
     if not math.isfinite(nlml):  # the fallback, or a failed polish
         nlml = float(objective(theta)[0])
     evaluations[-1] = objective.evaluations
     return theta, {
         "log_marginal_likelihood": -nlml,
-        "fallback_median_heuristic": best is None,
-        "restarts_run": len(ends),
-        "restarts_at_best": at_best,
+        "fallback_median_heuristic": fallback,
         "search_rows": rows,
         "likelihood_evaluations": evaluations,
         "polish_converged": converged,
@@ -405,11 +361,10 @@ def gp_fit_detail(
     Deterministic given (sample, subset, seed).  Supplying
     ``hyperparameters`` skips the marginal-likelihood search and fits with
     the given kernel.  A searched fit's record also carries the search
-    record of :func:`_fit_hyperparameters` (``restarts_run``,
-    ``restarts_at_best``, ``search_rows``, ``likelihood_evaluations``,
-    ``polish_converged``); a fixed-kernel record reports no log marginal
-    likelihood and none of those, and a constant column's record says
-    ``constant_response`` only.
+    record of :func:`_fit_hyperparameters` (``search_rows``,
+    ``likelihood_evaluations``, ``polish_converged``); a fixed-kernel
+    record reports no log marginal likelihood and none of those, and a
+    constant column's record says ``constant_response`` only.
     """
     x = _standardized_params(sample, subset)
     if not 0 <= t < sample.n_treatments:
@@ -425,8 +380,7 @@ def gp_fit_detail(
 
     y = (y_raw - y_mean) / y_sd
 
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_rows)
+    perm = np.random.default_rng(seed).permutation(n_rows)
     subsample = np.sort(perm[: min(n_rows, N_HYPER_ROWS)])
 
     # load scipy's OpenBLAS before the scope opens, so that the scope sets it
@@ -437,9 +391,7 @@ def gp_fit_detail(
         if hyperparameters is None:
             # positions in the sorted subsample of its first N_COARSE_ROWS draws
             coarse = np.searchsorted(subsample, np.sort(perm[:N_COARSE_ROWS]))
-            theta, search = _fit_hyperparameters(
-                x[subsample], y[subsample], coarse, rng
-            )
+            theta, search = _fit_hyperparameters(x[subsample], y[subsample], coarse)
             d = x.shape[1]
             ls = np.exp(theta[:d])
             sf2 = math.exp(theta[d])

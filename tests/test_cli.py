@@ -667,6 +667,40 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"voikit: error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(
+            ["sweep", "--params", "phi", "--k-grid", "5:1:2"],
+            "--k-grid expects min <= max and step > 0",
+            id="sweep-k-grid",
+        ),
+        pytest.param(
+            ["sweep", "--params", "phi", "--k-list", ""],
+            "--k-list expects comma-separated numbers, got ''",
+            id="sweep-k-list",
+        ),
+        pytest.param(
+            ["sweep", "--params", ";"], "no parameter names given", id="sweep-params"
+        ),
+        pytest.param(
+            ["compare", "--params", ";"], "no parameter names given", id="compare-params"
+        ),
+        pytest.param(
+            ["compare", "--params", "phi", "--model", "no-such-model"],
+            "unknown model 'no-such-model': expected 'linear-gaussian', 'toy' "
+            "or a JSON file",
+            id="compare-model",
+        ),
+    ])
+    def test_bad_flag_rejected_before_the_sample_is_read(
+        self, capsys, tmp_path, argv, message
+    ):
+        # the file does not exist: the flag is checked before it is opened
+        missing = str(tmp_path / "missing.csv")
+        rc, out, err = _run(capsys, argv[:1] + ["--file", missing] + argv[1:])
+        assert rc == 1
+        assert out == ""
+        assert err == f"voikit: error: {message}\n"
+
     @pytest.mark.parametrize("fraction", ["0", "-0.01", "nan", "inf"])
     def test_bad_relative_fraction_rejected_before_any_work(self, capsys, tmp_path, fraction):
         missing = str(tmp_path / "missing.csv")

@@ -17,7 +17,7 @@ from voikit import (
     generate_psa,
     gp_fit_detail,
 )
-from voikit.gp import JITTER_FACTOR, N_COARSE_ROWS, N_HYPER_ROWS, N_RESTARTS, _kernel
+from voikit.gp import JITTER_FACTOR, N_COARSE_ROWS, N_HYPER_ROWS, _kernel
 
 from conftest import make_sample
 
@@ -267,18 +267,18 @@ def test_posterior_memory_bounded_at_large_sample(length_scale):
     assert peak <= 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def _scripted_minimize(ends, polish_end=0.25):
-    """A stand-in for ``gp.minimize`` whose i-th coarse restart ends at
-    ``ends[i]`` and whose polish (the call on more than ``N_COARSE_ROWS``
+def _scripted_minimize(coarse_end, polish_end=0.25):
+    """A stand-in for ``gp.minimize`` whose coarse descent ends at
+    ``coarse_end`` and whose polish (the call on more than ``N_COARSE_ROWS``
     rows) ends at ``polish_end``, each at its start point (raised when it is
-    an exception).  The starts of the restarts and of the polish are kept in
-    two lists."""
+    an exception).  The starts of the coarse descents and of the polish are
+    kept in two lists."""
     starts, polish_starts = [], []
 
     def scripted(objective, theta0, **kwargs):
         polish = objective.n > N_COARSE_ROWS
         (polish_starts if polish else starts).append(np.array(theta0))
-        end = polish_end if polish else ends[len(starts) - 1]
+        end = polish_end if polish else coarse_end
         if isinstance(end, Exception):
             raise end
         return SimpleNamespace(x=np.array(theta0), fun=end, success=True)
@@ -286,50 +286,18 @@ def _scripted_minimize(ends, polish_end=0.25):
     return scripted, starts, polish_starts
 
 
-@pytest.mark.parametrize("ends, run, at_best, chosen", [
-    # the second restart repeats the first optimum: keep the lower, stop
-    ([100.0, 100.00005, 1.0, 1.0, 1.0], 2, 2, 0),
-    ([100.00005, 100.0, 1.0, 1.0, 1.0], 2, 2, 1),
-    # a repeat of an optimum that is not the best so far does not stop it
-    ([100.0, 90.0, 100.00001, 90.00001, 1.0], 4, 2, 1),
-    # no repeat: all five run and the lowest wins
-    ([100.0, 90.0, 80.0, 95.0, 85.0], 5, 1, 2),
-    # below 1 nat the tolerance is absolute
-    ([0.5, 0.5000009, 0.1, 0.1, 0.1], 2, 2, 0),
-    # a restart that raises or ends non-finite is skipped and never matches
-    ([ValueError("synthetic"), np.inf, 50.0, np.nan, 50.00001], 5, 2, 2),
-    ([np.linalg.LinAlgError("synthetic"), 50.0, np.inf, np.inf, 40.0], 5, 1, 4),
-])
-def test_search_stops_once_its_best_optimum_repeats(monkeypatch, ends, run, at_best, chosen):
+@pytest.mark.parametrize(
+    "coarse_end", [np.inf, ValueError("synthetic"), np.nan], ids=["inf", "raises", "nan"]
+)
+def test_search_record_when_the_coarse_descent_fails(monkeypatch, coarse_end):
     import voikit.gp as gp_mod
 
-    scripted, starts, polish_starts = _scripted_minimize(ends)
-    monkeypatch.setattr(gp_mod, "minimize", scripted)
-    sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
-    _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
-    assert len(starts) == info["restarts_run"] == run
-    assert info["restarts_at_best"] == at_best
-    # the polish starts from the chosen coarse optimum and reports its end
-    assert len(polish_starts) == 1
-    assert np.array_equal(polish_starts[0], starts[chosen])
-    assert info["log_marginal_likelihood"] == -0.25
-    assert info["length_scales"] == [float(np.exp(starts[chosen][0]))]
-    assert info["fallback_median_heuristic"] is False
-    assert info["polish_converged"] is True
-
-
-def test_search_record_when_every_restart_fails(monkeypatch):
-    import voikit.gp as gp_mod
-
-    scripted, starts, polish_starts = _scripted_minimize(
-        [np.inf, ValueError("synthetic"), np.nan] * 2
-    )
+    scripted, starts, polish_starts = _scripted_minimize(coarse_end)
     monkeypatch.setattr(gp_mod, "minimize", scripted)
     sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
     with pytest.warns(UserWarning, match="median-heuristic"):
         _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
-    assert len(starts) == info["restarts_run"] == 5
-    assert info["restarts_at_best"] == 0
+    assert len(starts) == 1
     assert info["fallback_median_heuristic"] is True
     # no polish follows the fallback; its likelihood is evaluated once on
     # all 300 rows
@@ -339,34 +307,15 @@ def test_search_record_when_every_restart_fails(monkeypatch):
     assert np.isfinite(info["log_marginal_likelihood"])
 
 
-def test_restart_count_does_not_move_the_random_stream(monkeypatch):
-    # every start is drawn before the first restart runs, so the subsample
-    # and the starts are the same however early the search stops
-    import voikit.gp as gp_mod
-
-    sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
-    seen = []
-    for ends in ([1.0] * 5, [5.0, 4.0, 3.0, 2.0, 1.0]):
-        scripted, starts, _ = _scripted_minimize(ends)
-        monkeypatch.setattr(gp_mod, "minimize", scripted)
-        gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
-        seen.append(starts)
-    assert len(seen[0]) == 2 and len(seen[1]) == 5
-    assert all(np.array_equal(a, b) for a, b in zip(seen[0], seen[1]))
-
-
 _SEARCH_KEYS = (
-    "restarts_run",
-    "restarts_at_best",
     "search_rows",
     "likelihood_evaluations",
     "polish_converged",
 )
 
 
-def test_only_searched_records_count_restarts(lin_sample):
+def test_only_searched_records_carry_the_search_record(lin_sample):
     _, searched = gp_fit_detail(lin_sample, ParamSubset.of(0), 1, seed=3)
-    assert 1 <= searched["restarts_at_best"] <= searched["restarts_run"] <= N_RESTARTS
     assert searched["search_rows"] == [N_COARSE_ROWS, N_HYPER_ROWS]
     assert all(n > 0 for n in searched["likelihood_evaluations"])
     hp = GpHyperparameters(length_scales=(1.0,), signal_var=2.0, noise_var=1.0)
@@ -430,10 +379,15 @@ def test_small_sample_is_searched_in_one_level(monkeypatch, n):
     assert info == one_level_info
 
 
+# restarts of the full-subsample reference search
+_REFERENCE_RESTARTS = 5
+
+
 def _full_subsample_reference(sample, subset, t, seed):
-    """Lowest negative log marginal likelihood over all ``N_RESTARTS``
-    L-BFGS-B restarts on the whole subsample, with no early stop: the
-    one-level search's starts and optimizer settings, drawn the same way."""
+    """Lowest negative log marginal likelihood over ``_REFERENCE_RESTARTS``
+    L-BFGS-B descents on the whole subsample: the first from the search's
+    own start, the rest from seeded random starts around it, all with the
+    search's optimizer settings."""
     import voikit.gp as gp_mod
     from scipy.optimize import minimize
 
@@ -451,7 +405,7 @@ def _full_subsample_reference(sample, subset, t, seed):
         center + np.concatenate([
             rng.normal(0.0, 1.0, size=d), [rng.normal(0.0, 1.0), rng.normal(0.0, 1.5)]
         ])
-        for _ in range(N_RESTARTS - 1)
+        for _ in range(_REFERENCE_RESTARTS - 1)
     ]
     bounds = [gp_mod._LOG_BOUNDS["length"]] * d + [
         gp_mod._LOG_BOUNDS["signal"], gp_mod._LOG_BOUNDS["noise"]
@@ -493,14 +447,24 @@ def polished_search(request):
     return SimpleNamespace(sample=sample, subset=subset, info=info, calls=calls)
 
 
-def test_polish_ends_at_a_kkt_point_no_worse_than_its_start(polished_search):
-    *restarts, polish = polished_search.calls
-    info = polished_search.info
-    assert len(restarts) == info["restarts_run"]
+def test_polish_starts_from_the_coarse_descent(polished_search):
+    coarse, polish = polished_search.calls
+    assert coarse.objective.n == N_COARSE_ROWS
     assert polish.objective.n == N_HYPER_ROWS
-    # it starts from the best coarse optimum
-    best = min(restarts, key=lambda call: call.res.fun)
-    assert np.array_equal(polish.start, best.res.x)
+    # the coarse descent starts from median-heuristic length scales, signal
+    # variance var(y) and noise variance var(y)/5
+    var_y = float(coarse.objective.y.var())
+    expected = np.concatenate([
+        np.log(coarse.objective.median_heuristic()),
+        [np.log(var_y), np.log(0.2 * var_y)],
+    ])
+    assert np.allclose(coarse.start, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(polish.start, coarse.res.x)
+
+
+def test_polish_ends_at_a_kkt_point_no_worse_than_its_start(polished_search):
+    coarse, polish = polished_search.calls
+    info = polished_search.info
     start, _ = polish.objective(polish.start)
     end, grad = polish.objective(polish.res.x)
     assert end <= start + 1e-12 * abs(start)
@@ -524,9 +488,7 @@ def test_polish_matches_a_full_subsample_search(polished_search):
 def test_failed_polish_keeps_the_coarse_optimum(monkeypatch, polish_end):
     import voikit.gp as gp_mod
 
-    scripted, starts, polish_starts = _scripted_minimize(
-        [100.0, 100.00005, 1.0, 1.0, 1.0], polish_end
-    )
+    scripted, starts, polish_starts = _scripted_minimize(100.0, polish_end)
     monkeypatch.setattr(gp_mod, "minimize", scripted)
     sample = generate_psa(LinearGaussianSpec(), 300, seed=2)
     _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, seed=0)
