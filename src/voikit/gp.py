@@ -184,7 +184,8 @@ class _MarginalLikelihood:
         nlml = 0.5 * quad + logdet + self._log2pi_term
         alpha = solve_triangular(chol, half, lower=True, trans="T", check_finite=False)
 
-        # Kinv, in the lower triangle only (the upper stays stale).
+        # Kinv, in the lower triangle only: dpotri writes no other entry, and
+        # the upper triangle stays the zeros that cholesky left there.
         kf, info = dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             return np.inf, np.zeros_like(theta)

@@ -111,46 +111,23 @@ class ParamSubset:
 
 
 class _ParamOrders:
-    """Stable sort order of each parameter column, computed once per column.
+    """Stable sort order of each parameter column, computed at first use and
+    kept; a lock makes it one sort per column even when threads share the
+    sample."""
 
-    A sample drawn from a parent by nondecreasing rows (a bootstrap
-    replicate in row-index order) derives each order from the parent's in
-    O(S) instead of sorting: the parent's order with every row repeated by
-    its count in the draw.  That is exactly the stable argsort of the drawn
-    column, ties included, because the parent breaks ties by row index and
-    the copies of a row sit next to one another in row-index order.
-    """
-
-    def __init__(self, params: np.ndarray, parent: "_ParamOrders | None" = None,
-                 counts: np.ndarray | None = None):
+    def __init__(self, params: np.ndarray):
         self._params = params
-        self._parent = parent
-        self._counts = counts
         self._orders: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
     def get(self, p: int) -> np.ndarray:
-        with self._lock:  # one sort per column, even when threads share the sample
+        with self._lock:
             order = self._orders.get(p)
             if order is None:
-                if self._parent is None:
-                    order = np.argsort(self._params[:, p], kind="stable")
-                else:
-                    order = self._derived(p)
+                order = np.argsort(self._params[:, p], kind="stable")
                 order.flags.writeable = False
                 self._orders[p] = order
         return order
-
-    def _derived(self, p: int) -> np.ndarray:
-        parent_order = self._parent.get(p)
-        counts = self._counts
-        # row of each parent row's first copy here, taken in the parent's order
-        first = (np.cumsum(counts) - counts)[parent_order]
-        repeats = counts[parent_order]
-        # the copies of one parent row are consecutive both in this sample and
-        # in its order, so position j holds first[g] + (j - start of group g)
-        shift = first - (np.cumsum(repeats) - repeats)
-        return np.repeat(shift, repeats) + np.arange(self._params.shape[0])
 
 
 @dataclass(frozen=True)
@@ -176,6 +153,7 @@ class PsaSample:
     k: float | None = None
     treatment_names: tuple[str, ...] | None = None
     _orders: _ParamOrders = field(init=False, repr=False, compare=False)
+    _source: tuple[PsaSample, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = _as_matrix(self.params, "params")
@@ -196,6 +174,7 @@ class PsaSample:
         object.__setattr__(self, "params", _frozen(params))
         object.__setattr__(self, "nb", _frozen(nb))
         object.__setattr__(self, "_orders", _ParamOrders(self.params))
+        object.__setattr__(self, "_source", None)
 
         if (self.effects is None) != (self.costs is None):
             raise ValueError("effects and costs must be supplied together")
@@ -259,8 +238,10 @@ class PsaSample:
         """Row-subset (or resampled) copy, used by the bootstrap.
 
         ``rows`` is a 1-D integer array of at least 2 indices in [-S, S).
-        When it is nondecreasing the copy derives its parameter orders from
-        this sample's in O(S) instead of sorting again.
+        When they are nonnegative and nondecreasing (a bootstrap replicate)
+        the copy keeps this sample and each row's count as its source: the
+        copy's stable order of a column is this sample's with each row
+        repeated by its count, which single-parameter estimates read.
         """
         rows, n = np.asarray(rows), self.n_sims
         if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size < 2:
@@ -272,13 +253,11 @@ class PsaSample:
         def gather(a):
             return None if a is None else np.take(a, rows, axis=0)
 
-        params = gather(self.params)
+        source = None
         if rows[0] >= 0 and np.all(rows[1:] >= rows[:-1]):
-            orders = _ParamOrders(params, self._orders, np.bincount(rows, minlength=n))
-        else:
-            orders = _ParamOrders(params)
-        return self._derive(params, gather(self.nb), gather(self.effects),
-                            gather(self.costs), self.k, orders)
+            source = (self, np.bincount(rows, minlength=n))
+        return self._derive(gather(self.params), gather(self.nb), gather(self.effects),
+                            gather(self.costs), self.k, source)
 
     def at_wtp(self, k) -> "PsaSample":
         """Rebuild the sample at a different willingness to pay.
@@ -292,16 +271,19 @@ class PsaSample:
             )
         k = _wtp_value(k)
         return self._derive(self.params, k * self.effects - self.costs, self.effects,
-                            self.costs, k, self._orders)
+                            self.costs, k)
 
     def _with_nb(self, nb: np.ndarray) -> "PsaSample":
         """The same parameter draws with net benefit ``nb`` (S x T) and no
         effect or cost matrices; ``nb`` is taken over and frozen."""
-        return self._derive(self.params, nb, None, None, self.k, self._orders)
+        return self._derive(self.params, nb, None, None, self.k)
 
-    def _derive(self, params, nb, effects, costs, k, orders: _ParamOrders) -> "PsaSample":
+    def _derive(self, params, nb, effects, costs, k, source=None) -> "PsaSample":
         """A sample built from this one's validated arrays: no check, no copy;
-        the arrays are marked read-only and the names carry over."""
+        the arrays are marked read-only, the names carry over, and the
+        parameter orders too when ``params`` does.  Only :meth:`take` has a
+        ``source``, the sample whose rows it gathers with their counts."""
+        orders = self._orders if params is self.params else _ParamOrders(params)
         for a in (params, nb, effects, costs):
             if a is not None:
                 a.flags.writeable = False
@@ -309,6 +291,7 @@ class PsaSample:
         vars(out).update(
             param_names=self.param_names, params=params, nb=nb, effects=effects,
             costs=costs, k=k, treatment_names=self.treatment_names, _orders=orders,
+            _source=source,
         )
         return out
 

@@ -124,8 +124,8 @@ def bootstrap_estimates(
     Each replicate's resampling indices come from a generator seeded with
     (seed, replicate index), so results are identical at any thread count.
     The estimator sees the drawn rows in row-index order (only their counts
-    matter), which lets the replicate derive its parameter sort orders from
-    the sample's without sorting.
+    matter), which lets the single-parameter estimators read the sample's
+    rank order, repeated by count, instead of sorting the replicate.
     A replicate where the estimator fails numerically (one of
     ``REPLICATE_FAILURES``) is skipped; any other exception is a bug and
     propagates.  More than 20% skipped replicates aborts, with the first

@@ -18,11 +18,13 @@ only in where the segment bounds go:
 No segment bound falls inside a run of tied parameter values, so neither
 estimate depends on the order of tied rows.
 
-Past the cached sort, an estimate makes elementwise O(S T) passes: the
-ordered net benefit is gathered with ``np.take``, the prefix sums are
-written into one preallocated array, and every best over treatments is a
-running ``np.maximum`` down the T columns (:func:`~voikit.psa._row_max`),
-never a per-row reduction, which numpy runs slowly on a short last axis.
+Past the sort, cached per column and read by a bootstrap replicate from
+its parent, repeated by count, an estimate makes elementwise O(S T)
+passes: the ordered net benefit is gathered with ``np.take``, the prefix
+sums are written into one preallocated array, and every best over
+treatments is a running ``np.maximum`` down the T columns
+(:func:`~voikit.psa._row_max`), never a per-row reduction, which numpy
+runs slowly on a short last axis.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ def order_by_param(sample: PsaSample, p: int) -> np.ndarray:
 
     The sort is stable, so tied parameter values keep their original row
     order.  The sample computes it once per column and every caller shares
-    the read-only array; a bootstrap replicate derives it from its parent's
-    without sorting (:meth:`PsaSample.take`).
+    the read-only array; the estimators here read a bootstrap replicate's
+    order off its parent's, each row repeated by its count
+    (:meth:`PsaSample.take`).
     """
     return sample.param_order(p)
 
@@ -114,12 +117,18 @@ def _phi_diagnostics(tied: np.ndarray) -> dict:
 
 
 def _ranked(sample: PsaSample, p: int):
-    """What every single-parameter estimate starts from: the rank order of
-    column p, the sorted column, and its tie mask (``tied[j]`` says ranks j
-    and j+1 hold equal values)."""
-    perm = order_by_param(sample, p)
-    phi_sorted = sample.param_column(p)[perm]
-    return perm, phi_sorted, phi_sorted[1:] == phi_sorted[:-1]
+    """What every single-parameter estimate starts from: column p sorted,
+    its tie mask (``tied[j]`` says ranks j and j+1 hold equal values), and
+    the net benefit in rank order, a fresh array.  A bootstrap replicate
+    gathers both from its parent (:meth:`PsaSample.take`)."""
+    if sample._source is None:
+        base, rows = sample, order_by_param(sample, p)
+    else:
+        base, counts = sample._source
+        order = order_by_param(base, p)
+        rows = np.repeat(order, counts[order])
+    phi_sorted = base.param_column(p)[rows]
+    return phi_sorted, phi_sorted[1:] == phi_sorted[:-1], np.take(base.nb, rows, axis=0)
 
 
 def _bin_bounds(phi_sorted: np.ndarray, n_bins: int) -> np.ndarray:
@@ -160,9 +169,8 @@ def so_evppi(sample: PsaSample, p: int, n_bins: int) -> EvppiEstimate:
     bins used (``bins``; edges in one tie merge) and the smallest
     (``bin_size``).
     """
-    perm, phi_sorted, tied = _ranked(sample, p)
+    phi_sorted, tied, ordered = _ranked(sample, p)
     bounds = _bin_bounds(phi_sorted, n_bins)
-    ordered = np.take(sample.nb, perm, axis=0)
     prefix = _relative_prefix_sums(np.add.reduceat(ordered, bounds[:-1], axis=0))
     maxima, best = _segment_maxima(prefix, np.arange(bounds.size))
     diag = {
@@ -196,14 +204,13 @@ def so_bias(
     """
     if n_mc < 1:
         raise ValueError("need at least one bias replicate")
-    perm, phi_sorted, _ = _ranked(sample, p)
+    phi_sorted, _, centered = _ranked(sample, p)  # centred in place below
     bounds = _bin_bounds(phi_sorted, n_bins)
     sizes = np.diff(bounds)
     if sizes.min() < 2:
         raise _OneRowBin(
             f"a bin of {sizes.min()} row cannot estimate within-bin variance; use fewer bins"
         )
-    centered = np.take(sample.nb, perm, axis=0)  # a copy, centred in place below
     means = np.add.reduceat(centered, bounds[:-1], axis=0) / sizes[:, None]
     n_bins_eff, n_t = means.shape
 
@@ -228,7 +235,10 @@ def so_bias(
     while done < n_mc:
         take = min(chunk, n_mc - done)
         draws = rng.standard_normal((take, n_bins_eff, n_t))
-        noise = np.einsum("cmt,mst->cms", draws, factor)
+        # T column products: bitwise einsum "cmt,mst->cms" at T = 2, and faster
+        noise = draws[:, :, 0, None] * factor[:, :, 0]
+        for t in range(1, n_t):
+            noise += draws[:, :, t, None] * factor[:, :, t]
         noise += means
         noisy_max = _row_max(noise)
         excess_sum += (noisy_max - true_max).sum(axis=0)
@@ -380,7 +390,7 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
             f"segmentation search is capped at 3 decision changes, got {n_changes}"
         )
 
-    perm, phi_sorted, tied = _ranked(sample, p)
+    phi_sorted, tied, ordered = _ranked(sample, p)
     n_distinct = sample.n_sims - int(np.count_nonzero(tied))
     if n_changes >= n_distinct:
         raise ValueError(
@@ -394,7 +404,7 @@ def sad_evppi(sample: PsaSample, p: int, n_changes: int) -> EvppiEstimate:
         diag["segment_treatments"] = [int(np.argmax(sample.nb.sum(axis=0)))]
         return EvppiEstimate(0.0, "SAD", diagnostics=diag)
 
-    prefix = _relative_prefix_sums(np.take(sample.nb, perm, axis=0))
+    prefix = _relative_prefix_sums(ordered)
     best, cut_ranks = _best_cuts(prefix, n_changes, tied)
     value = best / sample.n_sims
 

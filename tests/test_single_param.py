@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from voikit import (
     BootstrapConfig,
     CumsumCurve,
+    EvppiEstimate,
     LinearGaussianSpec,
     NonlinearToySpec,
     PsaSample,
     bootstrap_estimates,
+    build_nb,
     cumsum_curve,
     evpi,
     generate_psa,
@@ -144,6 +146,116 @@ class TestOrderByParam:
             ):
                 values, _ = bootstrap_estimates(estimator, sample, cfg)
                 assert values.tolist() == [estimator(s) for s in draw_order]
+
+
+def _tied_sample(n, n_t, seed):
+    """A priced sample whose first column is rounded to one decimal, so it
+    is heavy with ties, and whose second is tie-free; the net benefit
+    changes slope along both."""
+    rng = np.random.default_rng(seed)
+    params = np.column_stack([np.round(rng.normal(size=n), 1), rng.normal(size=n)])
+    slope = np.arange(n_t) - (n_t - 1) / 2
+    effects = rng.uniform(0, 1, (n, n_t)) + 0.3 * np.outer(params[:, 0], slope)
+    costs = rng.uniform(0, 50, (n, n_t)) + 20 * np.outer(np.abs(params[:, 1]), slope)
+    return PsaSample(("tied", "free"), params, nb=build_nb(effects, costs, 100.0),
+                     effects=effects, costs=costs, k=100.0)
+
+
+def _rebuilt(sample):
+    """The same arrays through the public constructor: a sample with no
+    source, whose estimates sort and gather its own rows."""
+    return PsaSample(sample.param_names, sample.params, sample.nb,
+                     effects=sample.effects, costs=sample.costs, k=sample.k)
+
+
+def _outcomes(sample):
+    """Every single-parameter estimate on both columns, in comparable form;
+    a rejected estimate counts by its error type and message."""
+    calls = [
+        lambda p: so_evppi(sample, p, 7),
+        lambda p: so_evppi(sample, p, 40),
+        lambda p: so_bias(sample, p, 3, n_mc=40, seed=1),
+        lambda p: so_bias(sample, p, 25, n_mc=40, seed=2),
+        lambda p: sad_evppi(sample, p, 1),
+        lambda p: sad_evppi(sample, p, 2),
+        lambda p: sad_evppi(sample, p, 3),
+    ]
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a constant replicate column
+        for p in (0, 1):
+            for call in calls:
+                try:
+                    r = call(p)
+                except ValueError as exc:
+                    out.append((type(exc).__name__, str(exc)))
+                    continue
+                out.append((r.value, r.diagnostics) if isinstance(r, EvppiEstimate) else r)
+    return out
+
+
+TIED = _tied_sample(40, 3, seed=4)
+
+
+class TestReplicatesReadTheParentsOrder:
+    """A replicate from ``take`` with nondecreasing rows reads its parent's
+    rank order; its estimates are bit for bit those of the same rows in a
+    sample built from scratch."""
+
+    @pytest.mark.parametrize("n_t", [2, 3])
+    def test_replicate_equals_a_rebuilt_sample(self, n_t):
+        sample = _tied_sample(600, n_t, seed=n_t)
+        rows = np.sort(np.random.default_rng(n_t).integers(0, 600, size=600))
+        replicate = sample.take(rows)
+        assert replicate._source is not None
+        assert _outcomes(replicate) == _outcomes(_rebuilt(replicate))
+
+    def test_replicate_of_a_replicate(self):
+        rng = np.random.default_rng(11)
+        replicate = _tied_sample(600, 3, seed=11).take(np.sort(rng.integers(0, 600, size=600)))
+        grandchild = replicate.take(np.sort(rng.integers(0, 600, size=450)))
+        assert grandchild._source[0] is replicate
+        assert _outcomes(grandchild) == _outcomes(_rebuilt(grandchild))
+
+    def test_new_net_benefit_does_not_read_the_source(self):
+        replicate = _tied_sample(600, 3, seed=5).take(
+            np.sort(np.random.default_rng(5).integers(0, 600, size=600))
+        )
+        for derived in (
+            replicate.at_wtp(2_000.0),
+            replicate._with_nb(replicate.nb - replicate.nb[:, :1]),
+        ):
+            assert derived._source is None
+            assert _outcomes(derived) == _outcomes(_rebuilt(derived))
+        assert _outcomes(replicate.at_wtp(2_000.0)) != _outcomes(replicate)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        counts=st.lists(
+            st.one_of(st.just(0), st.integers(1, 3), st.integers(30, 150)),
+            min_size=TIED.n_sims, max_size=TIED.n_sims,
+        ).filter(lambda c: sum(c) >= 2)
+    )
+    def test_any_count_vector(self, counts):
+        replicate = TIED.take(np.repeat(np.arange(TIED.n_sims), counts))
+        assert _outcomes(replicate) == _outcomes(_rebuilt(replicate))
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_bootstrap_sorts_the_parent_only(self, monkeypatch, n_threads):
+        sample = generate_psa(LinearGaussianSpec(), 2_000, seed=7)
+        sorted_columns = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            sorted_columns.append(a.size)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        cfg = BootstrapConfig(6, seed=1)
+        bootstrap_estimates(lambda s: so_evppi(s, 0, 20), sample, cfg, n_threads)
+        bootstrap_estimates(lambda s: so_bias(s, 0, 20, n_mc=20), sample, cfg, n_threads)
+        bootstrap_estimates(lambda s: sad_evppi(s, 0, 2), sample, cfg, n_threads)
+        assert sorted_columns == [2_000]
 
 
 class TestBinBounds:
@@ -279,7 +391,8 @@ def _so_bias_tensor_reference(sample, p, n_bins, n_mc, seed):
     while done < n_mc:
         take = min(chunk, n_mc - done)
         draws = rng.standard_normal((take, n_bins_eff, n_t))
-        noise = np.einsum("cmt,mst->cms", draws, factor)
+        # the same column sum as so_bias: the covariance is under test here
+        noise = sum(draws[:, :, t, None] * factor[:, :, t] for t in range(n_t))
         excess_sum += ((means + noise).max(axis=2) - true_max).sum(axis=0)
         done += take
     return max(0.0, float(sizes @ (excess_sum / n_mc) / sample.n_sims))
