@@ -249,12 +249,11 @@ def cmd_evppi(args) -> int:
     return 0
 
 
-def _compare_cell(sample, method, names, args, model=None):
+def _compare_cell(sample, method, names, args, model):
     """One cell of the comparison: the estimate, or ``{"error": reason}``
-    when the method does not apply.  An estimator that fails raises."""
+    when the method does not apply.  An estimator that fails raises.  The
+    MC column is listed only with a model spec (``model``)."""
     if method == "MC":
-        if model is None:
-            return {"error": "nested MC needs a model spec (--model)"}
         gen = model_for(model)
         subset = ParamSubset.from_names(names, gen.param_names)
         est = nested_mc_evppi(
@@ -302,7 +301,7 @@ def cmd_compare(args) -> int:
         cells = {}
         for m in methods:
             try:
-                cells[m] = _compare_cell(sample, m, names, args, model=model)
+                cells[m] = _compare_cell(sample, m, names, args, model)
             except (_UsageError, ValueError, EstimationError) as exc:
                 cells[m] = {"error": str(exc)}
                 failures.append(f"{m} on {','.join(names)}: {exc}")

@@ -59,7 +59,7 @@ def fit_regression(
     method: str = "gam",
     seed: int = 0,
     interactions: bool | None = None,
-    gp_hyperparameters: tuple[GpHyperparameters, ...] | None = None,
+    gp_hyperparameters: tuple[GpHyperparameters | None, ...] | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
     """Fitted contrasts against the first treatment column (S x T) and one
     smoother record per column.
@@ -77,7 +77,9 @@ def fit_regression(
 
     ``gp_hyperparameters`` (one per treatment) pins the GP kernel, which
     skips the marginal-likelihood search; used by the bootstrap so
-    replicates re-fit the posterior only.
+    replicates re-fit the posterior only.  None in place of a kernel means
+    the column needs none: it was constant, and so is every bootstrap
+    replicate of it, which is fitted by its mean.
     """
     method = method.lower()
     if method not in ("gam", "gp"):
@@ -257,7 +259,7 @@ def gp_evppi(
     materially.
     """
     fit = fit_regression(sample, subset, method="gp", seed=seed)
-    fixed = tuple(_record_hyperparameters(info, len(subset.indices)) for info in fit[1])
+    fixed = tuple(_record_hyperparameters(info) for info in fit[1])
     return with_bootstrap(
         regression_evppi(fit, "GP"),
         lambda s: regression_evppi(

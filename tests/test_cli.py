@@ -322,6 +322,27 @@ class TestReportedWillingnessToPay:
         assert any("--k 0 does not apply" in w and "unknown k" in w
                    for w in payload["warnings"])
 
+    @pytest.mark.parametrize("text, cause", [
+        ("not json", "JSONDecodeError('Expecting value: line 1 column 1 (char 0)')"),
+        ('{"seed": 2}', "KeyError('k')"),
+    ])
+    def test_unreadable_sidecar_warns_and_reports_null(
+        self, capsys, tmp_path, text, cause
+    ):
+        path = tmp_path / "lg.csv"
+        write_psa_csv(path, generate_psa(LinearGaussianSpec(), 400, seed=2))
+        sidecar = tmp_path / "lg.csv.provenance.json"
+        sidecar.write_text(text, encoding="utf-8")
+        rc, out, err = _run(capsys, [
+            "evppi", "--file", str(path), "--method", "so", "--params", "phi",
+            "--bins", "10",
+        ])
+        assert rc == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["k"] is None
+        assert payload["warnings"] == [f"cannot read k from {sidecar}: {cause}"]
+
     def test_effect_cost_file_reports_given_k(self, capsys, toy_csv):
         rc, out, _ = _run(capsys, [
             "evppi", "--file", toy_csv, "--method", "so",
@@ -782,6 +803,75 @@ class TestUsageErrors:
         assert out == ""
         assert "--bias-threshold-relative" in err
         assert "EVPI, which is 0" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(
+            ["evppi", "--method", "sad", "--params", "phi", "--changes", "x"],
+            "--changes expects an integer or name=int pairs, got 'x'",
+            id="changes-not-a-count",
+        ),
+        pytest.param(
+            ["evppi", "--method", "sad", "--params", "phi", "--changes", "phi=x"],
+            "bad --changes entry 'phi=x'",
+            id="changes-bad-pair",
+        ),
+        pytest.param(
+            ["evppi", "--method", "sad", "--params", "phi", "--changes", "psi=1"],
+            "--changes does not cover parameter 'phi'",
+            id="changes-miss-the-parameter",
+        ),
+        pytest.param(
+            ["sweep", "--params", "phi", "--k-list", "5,3"],
+            "willingness-to-pay grid must be finite and strictly increasing",
+            id="k-list-decreasing",
+        ),
+        pytest.param(
+            ["sweep", "--params", "phi", "--k-list=-1,2"],
+            "willingness-to-pay values must be >= 0",
+            id="k-list-negative",
+        ),
+        pytest.param(
+            ["sweep", "--params", "phi", "--k-grid", "5:1"],
+            "--k-grid expects min:max:step",
+            id="k-grid-two-fields",
+        ),
+    ])
+    def test_bad_flag_value_is_a_usage_error(self, capsys, lin_csv, argv, message):
+        rc, out, err = _run(capsys, argv[:1] + ["--file", lin_csv] + argv[1:])
+        assert rc == 1
+        assert out == ""
+        assert err == f"voikit: error: {message}\n"
+
+    def test_unparsable_model_spec_is_a_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text("not json", encoding="utf-8")
+        rc, out, err = _run(capsys, [
+            "simulate", "--model", str(spec), "--sims", "100",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            f"voikit: error: cannot parse model spec {spec}: "
+            "Expecting value: line 1 column 1 (char 0)\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
+
+
+def test_estimation_failure_exits_2(capsys, monkeypatch, lin_csv):
+    import voikit.cli as cli
+
+    def failing(*args, **kwargs):
+        raise voikit.EstimationError("synthetic failure")
+
+    monkeypatch.setattr(cli, "sad_evppi", failing)
+    rc, out, err = _run(capsys, [
+        "evppi", "--file", lin_csv, "--method", "sad", "--params", "phi",
+        "--changes", "1",
+    ])
+    assert rc == 2
+    assert out == ""
+    assert err == "voikit: estimation failed: synthetic failure\n"
 
 
 _COLD_START_SCRIPT = """

@@ -43,6 +43,36 @@ def test_kernel_matches_reference(d):
     assert np.allclose(got, _kernel_from_sq(_sq_diffs(x1, x2), ls, 1.7), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("d, n", [(1, 60), (2, 120), (8, 200)])
+def test_marginal_likelihood_matches_dense_reference(d, n):
+    import voikit.gp as gp_mod
+
+    rng = np.random.default_rng(10 * d + n)
+    x = rng.standard_normal((n, d))
+    y = np.sin(x).sum(axis=1) + 0.3 * rng.standard_normal(n)
+    y = (y - y.mean()) / y.std()
+    theta = np.concatenate([np.log(rng.uniform(0.5, 3.0, size=d)), [0.3, np.log(0.05)]])
+    objective = gp_mod._MarginalLikelihood(x, y)
+    value, grad = objective(theta)
+
+    def dense_nlml(th):
+        sf2, sn2 = np.exp(th[d]), np.exp(th[d + 1])
+        k = _kernel(x, x, np.exp(th[:d]), sf2)
+        k += (sn2 + JITTER_FACTOR * sf2) * np.eye(n)
+        sign, logdet = np.linalg.slogdet(k)
+        assert sign > 0
+        return 0.5 * y @ np.linalg.solve(k, y) + 0.5 * logdet + 0.5 * n * np.log(2 * np.pi)
+
+    assert value == pytest.approx(dense_nlml(theta), rel=1e-10)
+    # central differences of the objective itself, one log-parameter at a time
+    h = 1e-5
+    steps = h * np.eye(d + 2)
+    numeric = np.array(
+        [(objective(theta + e)[0] - objective(theta - e)[0]) / (2 * h) for e in steps]
+    )
+    assert np.max(np.abs(grad - numeric)) <= 1e-5 * np.max(np.abs(numeric))
+
+
 def test_constant_column_short_circuits():
     nb = np.column_stack([np.full(60, -3.0), np.random.default_rng(0).normal(size=60)])
     sample = make_sample(nb)
