@@ -554,6 +554,9 @@ def _check_counts(args) -> None:
         if value is not None and not (value > 0 and math.isfinite(value)):
             name = "--" + flag.replace("_", "-")
             raise _UsageError(f"{name} must be positive and finite, got {value}")
+    k = getattr(args, "k", None)
+    if k is not None and not (k >= 0 and math.isfinite(k)):
+        raise _UsageError(f"--k must be finite and >= 0, got {k}")
 
 
 def main(argv=None) -> int:

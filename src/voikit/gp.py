@@ -2,13 +2,16 @@
 
 Zero-mean GP on standardized inputs and centered response with a
 squared-exponential kernel (one length scale per dimension) and a nugget
-absorbing the conditional-expectation residual.  Hyperparameters maximise
-the exact log marginal likelihood on a seeded subsample of at most
-``N_HYPER_ROWS`` rows, which bounds the cubic factorisation cost.  The
-search has two levels.  The coarse level runs one L-BFGS-B descent on the
-first ``N_COARSE_ROWS`` rows of the subsample's seeded permutation, where
-one likelihood evaluation costs about an eighth of one on 500 rows.  It
-starts from median-heuristic length scales, signal variance var(y) and
+absorbing the conditional-expectation residual.  The one noise model is
+K = sf2 (C_l + eps I) + sn2 I, C_l the unit squared-exponential kernel and
+eps = ``JITTER_FACTOR``: the search differentiates it, the posterior mean
+uses it, and the same eps sets the pivot tolerance below.  Hyperparameters
+maximise the exact log marginal likelihood on a seeded subsample of at
+most ``N_HYPER_ROWS`` rows, which bounds the cubic factorisation cost.
+The search has two levels.  The coarse level runs one L-BFGS-B descent on
+the first ``N_COARSE_ROWS`` rows of the subsample's seeded permutation,
+where one likelihood evaluation costs about an eighth of one on 500 rows.
+It starts from median-heuristic length scales, signal variance var(y) and
 noise variance var(y)/5.  The polish then runs one L-BFGS-B descent of the
 likelihood of the whole subsample from the coarse optimum, so the result
 is still a local maximum of the full-subsample likelihood; only the route
@@ -22,13 +25,13 @@ row informs it through its cross-covariances with a set of inducing
 points.  Those are the subsample rows that a pivoted Cholesky factorisation
 of their kernel matrix (LAPACK ``dpstrf``; Harbrecht, Peters & Schneider,
 *Appl. Numer. Math.* 62, 2012) takes before every remaining Schur-complement
-variance falls to ``JITTER_FACTOR`` times the signal variance.  The rows it
-leaves, duplicates among them, lie within that floor of the span of the
-kept ones, so a smooth kernel keeps far fewer than 500.  When S is at most
-the subsample size the result is the exact GP posterior mean up to that
-floor.  The fit then makes two passes over the rows in blocks of
-``_PREDICT_CHUNK``: one sums the projected cross-covariances, the other
-predicts, so memory stays bounded in S.
+variance falls to eps times the signal variance.  The rows it leaves,
+duplicates among them, lie within that floor of the span of the kept
+ones, so a smooth kernel keeps far fewer than 500.  When S is at most the
+subsample size the result is the exact posterior mean of sf2 C_l under
+the noise model, up to that floor.  The fit then makes two passes over
+the rows in blocks of ``_PREDICT_CHUNK``: one sums the projected
+cross-covariances, the other predicts, so memory stays bounded in S.
 
 The marginal-likelihood objective is evaluated a few hundred times per
 fit, so it reuses preallocated buffers and in-place LAPACK calls instead
@@ -162,9 +165,10 @@ class _MarginalLikelihood:
         np.maximum(ks, _MIN_EXPONENT, out=ks)
         np.exp(ks, out=ks)
         ks *= sf2
+        np.einsum("ii->i", ks)[...] += JITTER_FACTOR * sf2
 
         np.copyto(kf, ks)
-        np.einsum("ii->i", kf)[...] += sn2 + JITTER_FACTOR * sf2
+        np.einsum("ii->i", kf)[...] += sn2
         try:
             chol = cholesky(kf, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -182,23 +186,22 @@ class _MarginalLikelihood:
         if info != 0:
             return np.inf, np.zeros_like(theta)
         self._kf = kf
-        trace_kinv = float(np.einsum("ii->", kf))
 
         # Rasmussen & Williams (2006), eq. 5.9: d nlml / d theta_j is
-        # -1/2 sum((alpha alpha^T - Kinv) * dK_j), each dK_j being K_s times a
-        # symmetric factor.  With Kinv's strict lower triangle counted twice,
-        # w is half that weight matrix, so each term is -sum(w * factor).
+        # -1/2 sum((alpha alpha^T - Kinv) * dK_j), dK_j being sn2 I or K_s
+        # times a symmetric factor.  With Kinv's strict lower triangle counted
+        # twice, w is half that weight matrix, so each term is -sum(w * dK_j).
         w = self._w
         np.multiply.outer(0.5 * alpha, alpha, out=w)
         np.einsum("ii->i", kf)[...] *= 0.5
         w -= kf
+        grad = np.empty(d + 2)
+        grad[d + 1] = -sn2 * float(np.einsum("ii->", w))
         w *= ks
         w_flat = w.ravel("K")
-        grad = np.empty(d + 2)
         for i in range(d):
             grad[i] = -float(np.vdot(w_flat, self.sq[i].ravel("K"))) / ls2[i]
         grad[d] = -float(w_flat.sum())
-        grad[d + 1] = -0.5 * sn2 * (float(alpha @ alpha) - trace_kinv)
         return nlml, grad
 
 
@@ -227,8 +230,8 @@ def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, coarse: np.ndarray):
     Returns the log-parameters and the search record.  The coarse level
     runs one descent on the rows ``coarse`` of x and y, from
     median-heuristic length scales, signal variance var(y) and noise
-    variance var(y)/5.  When that descent raises or ends non-finite, the
-    median heuristic stands in (``fallback_median_heuristic``).
+    variance var(y)/5.  When that descent raises or ends non-finite, its
+    start stands in (``fallback_median_heuristic``).
 
     When ``coarse`` leaves rows out, the polish then runs one L-BFGS-B
     descent on all rows from the coarse optimum (no polish follows the
@@ -245,23 +248,19 @@ def _fit_hyperparameters(x: np.ndarray, y: np.ndarray, coarse: np.ndarray):
         [_LOG_BOUNDS["length"]] * d + [_LOG_BOUNDS["signal"], _LOG_BOUNDS["noise"]]
     )
     objective = _MarginalLikelihood(x[coarse], y[coarse])
-    log_ls0 = np.log(objective.median_heuristic())
     var_y = float(y[coarse].var())
-    log_sf0 = math.log(max(var_y, 1e-6))
-
-    res = _lbfgsb(
-        objective,
-        np.concatenate([log_ls0, [log_sf0, math.log(max(0.2 * var_y, 1e-6))]]),
-        bounds,
-    )
+    theta0 = np.concatenate([
+        np.log(objective.median_heuristic()),
+        [math.log(max(var_y, 1e-6)), math.log(max(0.2 * var_y, 1e-6))],
+    ])
+    res = _lbfgsb(objective, theta0, bounds)
     fallback = res is None
     if fallback:
         warnings.warn(
             "GP hyperparameter search failed; "
             "falling back to median-heuristic length scales"
         )
-        theta = np.concatenate([log_ls0, [log_sf0, math.log(max(0.5 * var_y, 1e-6))]])
-        nlml = math.nan
+        theta, nlml = theta0, math.nan
     else:
         theta, nlml = res.x, float(res.fun)
 
@@ -329,7 +328,7 @@ def _posterior_mean(
         vvt = dsyrk(1.0, v, beta=float(i > 0), c=vvt, overwrite_c=1, lower=1)
         vy += v @ y[start:stop]
 
-    np.einsum("ii->i", vvt)[...] += max(sn2, 1e-10 * sf2)
+    np.einsum("ii->i", vvt)[...] += sn2 + JITTER_FACTOR * sf2
     # the upper triangle was never written and may hold any bits, so the
     # solve must not check the whole factor for finiteness
     z = cho_solve(

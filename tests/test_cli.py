@@ -722,6 +722,34 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"voikit: error: {message}\n"
 
+    @pytest.mark.parametrize("argv, value", [
+        pytest.param(["evppi", "--method", "so", "--params", "phi"], "-1", id="evppi"),
+        pytest.param(["evppi", "--method", "gp", "--params", "phi"], "nan", id="evppi-nan"),
+        pytest.param(["evppi", "--method", "gam", "--params", "phi"], "inf", id="evppi-inf"),
+        pytest.param(["compare", "--params", "phi", "--model", "toy"], "-1", id="compare"),
+        pytest.param(["sweep", "--params", "phi"], "-1", id="sweep"),
+        pytest.param(["vistool", "--param", "phi"], "-1", id="vistool"),
+    ])
+    def test_bad_k_rejected_before_any_work(self, capsys, tmp_path, argv, value):
+        # the file does not exist: --k is checked before it is opened
+        missing = str(tmp_path / "missing.csv")
+        rc, out, err = _run(capsys, [argv[0], "--file", missing, *argv[1:], "--k", value])
+        assert rc == 1
+        assert out == ""
+        assert err == f"voikit: error: --k must be finite and >= 0, got {float(value)}\n"
+
+    def test_bad_k_rejected_before_simulating(self, capsys, tmp_path):
+        # neither the sample nor a sidecar recording k = -1.0 is written
+        out_path = tmp_path / "sim.csv"
+        rc, out, err = _run(capsys, [
+            "simulate", "--model", "linear-gaussian", "--sims", "50", "--k", "-1",
+            "--out", str(out_path),
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == "voikit: error: --k must be finite and >= 0, got -1.0\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fraction", ["0", "-0.01", "nan", "inf"])
     def test_bad_relative_fraction_rejected_before_any_work(self, capsys, tmp_path, fraction):
         missing = str(tmp_path / "missing.csv")

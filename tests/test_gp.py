@@ -72,6 +72,19 @@ def test_marginal_likelihood_matches_dense_reference(d, n):
     )
     assert np.max(np.abs(grad - numeric)) <= 1e-5 * np.max(np.abs(numeric))
 
+    # jitter-dominated: the signal variance scales the jitter too, so its
+    # derivative runs through it.  K's condition number reaches 5e9 here,
+    # so the dense reference is differenced at steps of 1e-4 and more.
+    theta[d + 1] = np.log(1e-12)
+    assert np.exp(theta[d + 1]) < JITTER_FACTOR * np.exp(theta[d])
+    _, grad = objective(theta)
+    for h in (1e-3, 1e-4):
+        steps = h * np.eye(d + 2)
+        numeric = np.array(
+            [(dense_nlml(theta + e) - dense_nlml(theta - e)) / (2 * h) for e in steps]
+        )
+        assert np.max(np.abs(grad - numeric)) <= 1e-2 * np.max(np.abs(numeric))
+
 
 def test_constant_column_short_circuits():
     nb = np.column_stack([np.full(60, -3.0), np.random.default_rng(0).normal(size=60)])
@@ -226,7 +239,7 @@ def _dense_subset_of_regressors(sample, subset, t, hp, seed):
     chol = cholesky(k_uu + JITTER_FACTOR * sf2 * np.eye(sub.size), lower=True)
     k_ux = _kernel_from_sq(_sq_diffs(x[sub], x), ls, sf2)
     v = solve_triangular(chol, k_ux, lower=True)
-    a = v @ v.T + max(sn2, 1e-10 * sf2) * np.eye(sub.size)
+    a = v @ v.T + (sn2 + JITTER_FACTOR * sf2) * np.eye(sub.size)
     z = cho_solve(cho_factor(a, lower=True), v @ y)
     return (z @ v) * y_raw.std() + y_raw.mean()
 
@@ -335,6 +348,9 @@ def test_search_record_when_the_coarse_descent_fails(monkeypatch, coarse_end):
     assert info["search_rows"] == [N_COARSE_ROWS, 300]
     assert info["likelihood_evaluations"] == [0, 1]
     assert np.isfinite(info["log_marginal_likelihood"])
+    # the fallback keeps the descent's start, noise variance var(y)/5
+    assert info["length_scales"] == [float(np.exp(starts[0][0]))]
+    assert info["noise_var"] == pytest.approx(0.2 * info["signal_var"], rel=1e-12)
 
 
 _SEARCH_KEYS = (
@@ -451,16 +467,12 @@ def _full_subsample_reference(sample, subset, t, seed):
     return min(float(f) for f in ends if np.isfinite(f))
 
 
-@pytest.fixture(scope="module", params=[("toy", "risk_reduction"), ("lg", "phi")])
-def polished_search(request):
-    """One searched contrast fit at S=2000, with every optimizer call and
-    its result recorded."""
+def _recorded_search(sample, subset, seed):
+    """The searched fit of the contrast of column 1 against column 0, with
+    every optimizer call and its result recorded."""
     import voikit.gp as gp_mod
 
-    spec = NonlinearToySpec() if request.param[0] == "toy" else LinearGaussianSpec()
-    sample = generate_psa(spec, 2_000, seed=3)
     sample = sample._with_nb(sample.nb - sample.nb[:, :1])
-    subset = ParamSubset.from_names([request.param[1]], sample.param_names)
     real = gp_mod.minimize
     calls = []
 
@@ -473,8 +485,17 @@ def polished_search(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gp_mod, "minimize", recording)
-        _, info = gp_fit_detail(sample, subset, 1, seed=3)
+        _, info = gp_fit_detail(sample, subset, 1, seed=seed)
     return SimpleNamespace(sample=sample, subset=subset, info=info, calls=calls)
+
+
+@pytest.fixture(scope="module", params=[("toy", "risk_reduction"), ("lg", "phi")])
+def polished_search(request):
+    """One searched contrast fit at S=2000, recorded."""
+    spec = NonlinearToySpec() if request.param[0] == "toy" else LinearGaussianSpec()
+    sample = generate_psa(spec, 2_000, seed=3)
+    subset = ParamSubset.from_names([request.param[1]], sample.param_names)
+    return _recorded_search(sample, subset, seed=3)
 
 
 def test_polish_starts_from_the_coarse_descent(polished_search):
@@ -503,6 +524,25 @@ def test_polish_ends_at_a_kkt_point_no_worse_than_its_start(polished_search):
     # projected gradient: each component the bounds let the descent follow
     lo, hi = np.array(polish.bounds).T
     projected = polish.res.x - np.clip(polish.res.x - grad, lo, hi)
+    assert np.max(np.abs(projected)) <= 1e-4 * max(1.0, abs(end))
+
+
+def test_noise_free_polish_ends_at_a_kkt_point_by_central_differences():
+    # linear-Gaussian (phi, psi) determines net benefit exactly, so the
+    # search ends with the noise variance below the jitter, where only a
+    # gradient that includes the jitter lets the descent stop at an optimum
+    sample = generate_psa(LinearGaussianSpec(), 10_000, seed=3001)
+    _, polish = _recorded_search(sample, ParamSubset.of(0, 1), seed=3005).calls
+    objective, theta = polish.objective, polish.res.x
+    assert np.exp(theta[-1]) < JITTER_FACTOR * np.exp(theta[-2])
+    end, _ = objective(theta)
+    h = 1e-4
+    numeric = np.array([
+        (objective(theta + e)[0] - objective(theta - e)[0]) / (2 * h)
+        for e in h * np.eye(theta.size)
+    ])
+    lo, hi = np.array(polish.bounds).T
+    projected = theta - np.clip(theta - numeric, lo, hi)
     assert np.max(np.abs(projected)) <= 1e-4 * max(1.0, abs(end))
 
 
