@@ -1,10 +1,10 @@
 """Command-line front end: estimator dispatch, comparison tables, sweeps,
 the cumulative-sum visual-tool data, and synthetic-sample generation.
 
-Exit codes: 0 success, 1 usage or input-parsing error, 2 estimation
-failure.  JSON outputs carry full-precision values; the human-readable
-comparison table rounds to 2 decimals (1 on request) because the
-estimators only approximate the target to begin with.
+Exit codes: 0 success, 1 usage, input-parsing or file-access error, 2
+estimation failure.  JSON outputs carry full-precision values; the
+human-readable comparison table rounds to 2 decimals (1 on request)
+because the estimators only approximate the target to begin with.
 """
 
 from __future__ import annotations
@@ -122,11 +122,11 @@ def _interactions_flag(choice: str) -> bool | None:
     return {"auto": None, "none": False, "pairwise": True}[choice]
 
 
-def _parse_changes(raw: str | None, names: list[str], param_names) -> dict[str, int]:
-    """--changes accepts a single count or name=count pairs.
+def _parse_changes(raw: str | None, param_names) -> dict[str, int]:
+    """--changes accepts a single count, which applies to every parameter
+    in ``param_names``, or name=count pairs.
 
-    A pair must name one of the sample's parameters (``param_names``), and
-    at most once.
+    A pair must name one of the sample's parameters, and at most once.
     """
     if raw is None:
         return {}
@@ -136,7 +136,7 @@ def _parse_changes(raw: str | None, names: list[str], param_names) -> dict[str, 
             d = int(raw)
         except ValueError:
             raise _UsageError(f"--changes expects an integer or name=int pairs, got {raw!r}")
-        return {n: d for n in names}
+        return {n: d for n in param_names}
     out = {}
     for item in raw.split(","):
         name, _, val = item.partition("=")
@@ -163,9 +163,10 @@ def _single_param_index(sample: PsaSample, names: list[str], method: str) -> int
     return sample.param_index(names[0])
 
 
-def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args):
-    """Run one estimator; returns (estimate, extra-warnings list)."""
-    warnings_out: list[str] = []
+def _estimate_for_method(
+    sample: PsaSample, method: str, names: list[str], args, changes: dict[str, int]
+):
+    """Run one estimator; ``changes`` is the parsed ``--changes``."""
     bootstrap = (
         BootstrapConfig(n_replicates=args.bootstrap, seed=args.seed)
         if args.bootstrap
@@ -198,7 +199,7 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
             })
         return with_bootstrap(
             estimate, lambda s: so_evppi(s, p, n_bins), sample, bootstrap, args.threads
-        ), warnings_out
+        )
 
     if method == "sad":
         if args.changes is None:
@@ -207,15 +208,13 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
                 "judgment call read off the visual tool and is never defaulted"
             )
         p = _single_param_index(sample, names, "sad")
-        changes = _parse_changes(args.changes, names, sample.param_names).get(names[0])
-        if changes is None:
+        d = changes.get(names[0])
+        if d is None:
             raise _UsageError(f"--changes does not cover parameter {names[0]!r}")
-        if changes == 0:
-            warnings_out.append("parameter declared non-influential: estimate is 0")
-        estimate = sad_evppi(sample, p, changes)
+        estimate = sad_evppi(sample, p, d)
         return with_bootstrap(
-            estimate, lambda s: sad_evppi(s, p, changes), sample, bootstrap, args.threads
-        ), warnings_out
+            estimate, lambda s: sad_evppi(s, p, d), sample, bootstrap, args.threads
+        )
 
     subset = ParamSubset.from_names(names, sample.param_names)
     if method == "gam":
@@ -225,19 +224,22 @@ def _estimate_for_method(sample: PsaSample, method: str, names: list[str], args)
             interactions=_interactions_flag(args.interactions),
             bootstrap=bootstrap,
             n_threads=args.threads,
-        ), warnings_out
+        )
     if method == "gp":
         return gp_evppi(
             sample, subset, seed=args.seed, bootstrap=bootstrap, n_threads=args.threads
-        ), warnings_out
+        )
     raise _UsageError(f"unknown method {method!r}")
 
 
 def cmd_evppi(args) -> int:
     sample = read_psa_csv(args.file, k=_wtp(args))
     names = _split_params(args.params)
-    _parse_changes(args.changes, names, sample.param_names)  # fail fast
-    estimate, notes = _estimate_for_method(sample, args.method, names, args)
+    changes = _parse_changes(args.changes, sample.param_names)
+    estimate = _estimate_for_method(sample, args.method, names, args, changes)
+    notes: list[str] = []
+    if args.method == "sad" and changes[names[0]] == 0:
+        notes.append("parameter declared non-influential: estimate is 0")
     payload = {
         "subset": names,
         "k": _sample_k(args.file, sample, args, notes),
@@ -249,7 +251,7 @@ def cmd_evppi(args) -> int:
     return 0
 
 
-def _compare_cell(sample, method, names, args, model):
+def _compare_cell(sample, method, names, args, changes, model):
     """One cell of the comparison: the estimate, or ``{"error": reason}``
     when the method does not apply.  An estimator that fails raises.  The
     MC column is listed only with a model spec (``model``)."""
@@ -263,12 +265,9 @@ def _compare_cell(sample, method, names, args, model):
         return est.to_dict()
     if method in ("SO", "SAD") and len(names) != 1:
         return {"error": "single-parameter method"}
-    if method == "SAD":
-        changes = _parse_changes(args.changes, names, sample.param_names)
-        if names[0] not in changes:
-            return {"error": "changes not provided"}
-    est, _ = _estimate_for_method(sample, method.lower(), names, args)
-    return est.to_dict()
+    if method == "SAD" and names[0] not in changes:
+        return {"error": "changes not provided"}
+    return _estimate_for_method(sample, method.lower(), names, args, changes).to_dict()
 
 
 def _format_cell(cell: dict, decimals: int) -> str:
@@ -290,7 +289,7 @@ def cmd_compare(args) -> int:
         notes.append(f"the nested-MC column uses --k {args.k:g}")
     for names in subsets:
         ParamSubset.from_names(names, sample.param_names)  # fail fast on unknown names
-    _parse_changes(args.changes, [], sample.param_names)  # fail fast
+    changes = _parse_changes(args.changes, sample.param_names)
 
     methods = list(METHOD_ORDER) if model is not None else [
         m for m in METHOD_ORDER if m != "MC"
@@ -301,7 +300,7 @@ def cmd_compare(args) -> int:
         cells = {}
         for m in methods:
             try:
-                cells[m] = _compare_cell(sample, m, names, args, model)
+                cells[m] = _compare_cell(sample, m, names, args, changes, model)
             except (_UsageError, ValueError, EstimationError) as exc:
                 cells[m] = {"error": str(exc)}
                 failures.append(f"{m} on {','.join(names)}: {exc}")
@@ -376,7 +375,7 @@ def cmd_sweep(args) -> int:
             "sweep needs the effect/cost decomposition: an nb-only input fixes k, "
             "so net benefit cannot be rebuilt across the grid"
         )
-    _parse_changes(args.changes, [], sample.param_names)  # fail fast
+    changes = _parse_changes(args.changes, sample.param_names)
 
     evpi_curve = []
     evppi_curves: dict[str, list[float]] = {",".join(n): [] for n in subsets}
@@ -384,7 +383,7 @@ def cmd_sweep(args) -> int:
         at_k = sample.at_wtp(float(k))
         evpi_curve.append(evpi(at_k.nb))
         for names in subsets:
-            est, _ = _estimate_for_method(at_k, args.method, names, args)
+            est = _estimate_for_method(at_k, args.method, names, args, changes)
             evppi_curves[",".join(names)].append(est.value)
 
     payload = {
@@ -423,27 +422,22 @@ def cmd_vistool(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.model)
     sample = generate_psa(spec, args.sims, seed=args.seed, k=float(args.k))
-    out = Path(args.out)
-    try:
-        write_psa_csv(out, sample)
-        write_provenance(
-            _provenance_path(out),
-            {
-                "spec": spec_to_dict(spec),
-                "n_sims": args.sims,
-                "seed": args.seed,
-                "k": args.k,
-            },
-        )
-    except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc}") from exc
+    write_psa_csv(args.out, sample)
+    write_provenance(
+        _provenance_path(args.out),
+        {"spec": spec_to_dict(spec), "n_sims": args.sims, "seed": args.seed, "k": args.k},
+    )
     return 0
 
 
-def _add_common(p):
+def _add_k(p):
     p.add_argument("--k", type=float, default=None,
                    help="willingness to pay (default 20000); nb-only files "
                         "keep the k they were built at")
+
+
+def _add_common(p):
+    _add_k(p)
     p.add_argument("--seed", type=int, default=0)
     bins = p.add_mutually_exclusive_group()
     bins.add_argument("--bins", type=int, default=None,
@@ -515,9 +509,7 @@ def build_parser() -> _Parser:
     p.add_argument("--param", required=True)
     p.add_argument("--treatments", type=int, nargs=2, default=(1, 0),
                    metavar=("T", "T_PRIME"))
-    p.add_argument("--k", type=float, default=None,
-                   help="willingness to pay (default 20000); nb-only files "
-                        "keep the k they were built at")
+    _add_k(p)
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_vistool)
 
@@ -565,7 +557,9 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (_UsageError, FileNotFoundError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
+        # the one error boundary; an OSError from open names its path, as in
+        # "[Errno 21] Is a directory: 'out'"
         print(f"voikit: error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

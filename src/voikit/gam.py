@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .psa import ParamSubset, PsaSample, _standardized_params
+from .psa import ParamSubset, PsaSample, _row_chunks, _standardized_params
 
 __all__ = ["gam_fit_detail", "MAX_GAM_DIMENSIONS"]
 
@@ -58,16 +58,6 @@ _TENSOR_RIDGE = 1e-6
 _N_GRID = 321
 
 _GAUSS_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-
-# Rows of the design formed at once: the raw design of a three-parameter
-# fit has 205 columns, 6.7 MB per chunk.
-_CHUNK_ROWS = 4096
-
-
-def _row_chunks(n_rows: int):
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        yield slice(start, min(start + _CHUNK_ROWS, n_rows))
-
 
 def _quantile_breakpoints(x: np.ndarray, n_breakpoints: int) -> np.ndarray:
     bp = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_breakpoints)))

@@ -30,7 +30,7 @@ duplicates among them, lie within that floor of the span of the kept
 ones, so a smooth kernel keeps far fewer than 500.  When S is at most the
 subsample size the result is the exact posterior mean of sf2 C_l under
 the noise model, up to that floor.  The fit then makes two passes over
-the rows in blocks of ``_PREDICT_CHUNK``: one sums the projected
+the rows in blocks of ``psa._CHUNK_ROWS``: one sums the projected
 cross-covariances, the other predicts, so memory stays bounded in S.
 
 The marginal-likelihood objective is evaluated a few hundred times per
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .psa import ParamSubset, PsaSample, _standardized_params
+from .psa import ParamSubset, PsaSample, _row_chunks, _standardized_params
 
 __all__ = ["GpHyperparameters", "gp_fit_detail"]
 
@@ -60,7 +60,6 @@ N_HYPER_ROWS = 500
 # the coarse level's rows: nested in the subsample, so no extra random draws
 N_COARSE_ROWS = 200
 JITTER_FACTOR = 1e-8
-_PREDICT_CHUNK = 4096
 # Kernel exponents are clamped here: np.exp leaves its fast path below about
 # -708, and e^-700 (about 1e-304) is already nothing next to any other term.
 _MIN_EXPONENT = -700.0
@@ -318,15 +317,14 @@ def _posterior_mean(
     # V = L^{-1} K_ux, one r x chunk block at a time
     vvt = np.empty((rank, rank), order="F")
     vy = np.zeros(rank)
-    for i, start in enumerate(range(0, n_rows, _PREDICT_CHUNK)):
-        stop = min(start + _PREDICT_CHUNK, n_rows)
-        k_xu = _kernel(x_all[start:stop], x_ind, ls, sf2)
+    for i, rows in enumerate(_row_chunks(n_rows)):
+        k_xu = _kernel(x_all[rows], x_ind, ls, sf2)
         v = solve_triangular(
             l_uu, k_xu.T, lower=True, overwrite_b=True, check_finite=False
         )
         # lower triangle of sum V V^T; the factorization reads lower only
         vvt = dsyrk(1.0, v, beta=float(i > 0), c=vvt, overwrite_c=1, lower=1)
-        vy += v @ y[start:stop]
+        vy += v @ y[rows]
 
     np.einsum("ii->i", vvt)[...] += sn2 + JITTER_FACTOR * sf2
     # the upper triangle was never written and may hold any bits, so the
@@ -340,9 +338,8 @@ def _posterior_mean(
     # prediction at the sample rows: K_xu L^{-T} z
     weights = solve_triangular(l_uu, z, lower=True, trans="T", check_finite=False)
     out = np.empty(n_rows)
-    for start in range(0, n_rows, _PREDICT_CHUNK):
-        stop = min(start + _PREDICT_CHUNK, n_rows)
-        out[start:stop] = _kernel(x_all[start:stop], x_ind, ls, sf2) @ weights
+    for rows in _row_chunks(n_rows):
+        out[rows] = _kernel(x_all[rows], x_ind, ls, sf2) @ weights
     return out, rank
 
 

@@ -15,13 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .psa import PsaSample, build_nb
+from .psa import PsaSample, _row_chunks, build_nb
 
 __all__ = ["PsaFormatError", "read_psa_csv", "write_psa_csv"]
-
-
-# rows converted to Python floats at a time by write_psa_csv
-_WRITE_BLOCK = 8192
 
 
 class PsaFormatError(ValueError):
@@ -114,13 +110,18 @@ def read_psa_csv(path, k: float | None = None) -> PsaSample:
     benefit; files with ``nb:`` columns must not mix in effect/cost columns.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise PsaFormatError(f"{path}: empty file") from None
-        # newline="" ends lines at \r\n, \r and \n, as csv does, and keeps them
-        lines = fh.readlines()
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports
+    # begin with
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise PsaFormatError(f"{path}: empty file") from None
+            # newline="" ends lines at \r\n, \r and \n, as csv does, and keeps them
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise PsaFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
     params, nb_cols, effect_cols, cost_cols = _split_header(header)
     if not params:
@@ -201,9 +202,8 @@ def write_psa_csv(path, sample: PsaSample) -> None:
         # csv writes a Python float as its repr, the shortest round-trip
         # form; converting a block of rows at a time bounds how many of
         # those floats (one object per cell) are alive at once
-        for start in range(0, sample.n_sims, _WRITE_BLOCK):
-            stop = start + _WRITE_BLOCK
-            writer.writerows(np.hstack([c[start:stop] for c in columns]).tolist())
+        for rows in _row_chunks(sample.n_sims):
+            writer.writerows(np.hstack([c[rows] for c in columns]).tolist())
 
 
 def write_provenance(path, payload: dict) -> None:

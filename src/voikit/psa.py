@@ -296,6 +296,19 @@ class PsaSample:
         return out
 
 
+# Rows handled at once by the passes that must not hold S rows of working
+# memory: the spline design (205 columns for three parameters, 6.7 MB per
+# block), the GP cross-covariances (at most 500 columns, 16 MB) and the
+# Python floats of a CSV write (about 1 MB for four columns).
+_CHUNK_ROWS = 4096
+
+
+def _row_chunks(n_rows: int):
+    """Slices of at most ``_CHUNK_ROWS`` consecutive rows covering ``n_rows``."""
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        yield slice(start, min(start + _CHUNK_ROWS, n_rows))
+
+
 def _standardized_params(sample: PsaSample, subset: ParamSubset) -> np.ndarray:
     """The subset's parameter columns, each shifted to mean 0 and scaled to
     SD 1: the inputs both regression smoothers fit on."""

@@ -47,6 +47,15 @@ def _run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def _assert_one_error_line(rc, out, err, path):
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("voikit: error: ")
+    assert repr(str(path)) in err
+    assert "Traceback" not in err
+
+
 class TestEvppiCommand:
     def test_so_with_explicit_bins(self, capsys, lin_csv):
         rc, out, _ = _run(capsys, [
@@ -99,6 +108,18 @@ class TestEvppiCommand:
         payload = json.loads(out)
         assert payload["value"] == 0.0
         assert any("non-influential" in w for w in payload["warnings"])
+
+    def test_sad_zero_changes_note_comes_before_the_k_note(self, capsys, lin_csv):
+        rc, out, _ = _run(capsys, [
+            "evppi", "--file", lin_csv, "--method", "sad",
+            "--params", "phi", "--changes", "0", "--k", "5",
+        ])
+        assert rc == 0
+        assert json.loads(out)["warnings"] == [
+            "parameter declared non-influential: estimate is 0",
+            f"--k 5 does not apply: {lin_csv} holds net benefit only, "
+            "built at an unknown k",
+        ]
 
     def test_single_param_methods_reject_subsets(self, capsys, lin_csv):
         rc, _, err = _run(capsys, [
@@ -546,12 +567,12 @@ class TestSimulateCommand:
         assert err == "voikit: error: --seed must be at least 0, got -1\n"
         assert not out_path.exists()
 
-    def test_unwritable_path(self, capsys):
-        rc, _, err = _run(capsys, [
-            "simulate", "--model", "toy", "--sims", "100",
-            "--out", "/no/such/dir/x.csv",
+    def test_unwritable_path(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "x.csv"
+        rc, out, err = _run(capsys, [
+            "simulate", "--model", "toy", "--sims", "100", "--out", str(dest),
         ])
-        assert rc == 1
+        _assert_one_error_line(rc, out, err, dest)
 
     def test_spec_json_model(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -884,6 +905,57 @@ class TestUsageErrors:
             "Expecting value: line 1 column 1 (char 0)\n"
         )
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestErrorBoundary:
+    """main maps a path it cannot read or write, or a file that is not UTF-8,
+    to exit 1 with one line naming the path."""
+
+    def test_evppi_file_is_a_directory(self, capsys, tmp_path):
+        rc, out, err = _run(capsys, [
+            "evppi", "--file", str(tmp_path), "--method", "so", "--params", "phi",
+        ])
+        _assert_one_error_line(rc, out, err, tmp_path)
+
+    def test_vistool_out_is_a_directory(self, capsys, tmp_path, lin_csv):
+        rc, out, err = _run(capsys, [
+            "vistool", "--file", lin_csv, "--param", "phi", "--out", str(tmp_path),
+        ])
+        _assert_one_error_line(rc, out, err, tmp_path)
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("param:caf\u00e9,nb:0,nb:1\n1,2,3\n".encode("latin-1"))
+        rc, out, err = _run(capsys, [
+            "evppi", "--file", str(path), "--method", "so", "--params", "phi",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"voikit: error: {path}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep", "--method", "sad", "--params", "risk_reduction",
+                  "--k-list", "0,10000,20000,30000,40000"], id="sweep-5-points"),
+    pytest.param(["compare", "--params", "risk_reduction;p_infection",
+                  "--bootstrap", "0"], id="compare-2-subsets"),
+    pytest.param(["evppi", "--method", "sad", "--params", "risk_reduction"], id="evppi"),
+])
+def test_changes_parsed_once_per_command(capsys, monkeypatch, toy_csv, argv):
+    import voikit.cli as cli
+
+    calls = []
+    parse = cli._parse_changes
+
+    def counting(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(cli, "_parse_changes", counting)
+    rc, _, _ = _run(capsys, [*argv, "--file", toy_csv, "--changes", "1"])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_estimation_failure_exits_2(capsys, monkeypatch, lin_csv):

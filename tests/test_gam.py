@@ -15,7 +15,7 @@ from voikit import (
     gam_fit_detail,
     generate_psa,
 )
-from voikit import gam
+from voikit import gam, psa
 from voikit.psa import _standardized_params
 
 from conftest import make_sample
@@ -395,11 +395,11 @@ def test_curvature_penalty_is_the_gram_matrix_of_scipy_second_derivatives(
 
 
 def test_row_chunks_leave_the_fit_unchanged(monkeypatch):
-    n = 3 * gam._CHUNK_ROWS + 123
+    n = 3 * psa._CHUNK_ROWS + 123
     sample = generate_psa(NonlinearToySpec(), n, seed=13)
     subset = ParamSubset.of(0, 1)
     chunked, chunked_infos = gam_fit_detail(sample, subset)
-    monkeypatch.setattr(gam, "_CHUNK_ROWS", n)
+    monkeypatch.setattr(psa, "_CHUNK_ROWS", n)
     whole, whole_infos = gam_fit_detail(sample, subset)
     scale = np.max(np.abs(whole))
     assert np.max(np.abs(chunked - whole)) <= 1e-12 * scale

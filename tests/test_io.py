@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import voikit.io as io_module
+import voikit.psa as psa_module
 
 from voikit import (
     LinearGaussianSpec,
@@ -82,7 +83,7 @@ WRITE_CASES = {
     "lg-200": lambda: generate_psa(LinearGaussianSpec(), 200, seed=9),
     # two full blocks and a partial third at the shipped block size
     "lg-3-blocks": lambda: generate_psa(
-        LinearGaussianSpec(), 2 * io_module._WRITE_BLOCK + 5, seed=6
+        LinearGaussianSpec(), 2 * psa_module._CHUNK_ROWS + 5, seed=6
     ),
     "toy-150": lambda: generate_psa(NonlinearToySpec(), 150, seed=3, k=20_000.0),
     "bytes-2": lambda: PsaSample(
@@ -93,12 +94,12 @@ WRITE_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [1, 7, 150, io_module._WRITE_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 150, psa_module._CHUNK_ROWS])
 @pytest.mark.parametrize("case", list(WRITE_CASES))
 def test_block_writes_match_a_whole_table_write(tmp_path, monkeypatch, case, block):
     # 7 divides none of the row counts; 150 divides one exactly
     sample = WRITE_CASES[case]()
-    monkeypatch.setattr(io_module, "_WRITE_BLOCK", block)
+    monkeypatch.setattr(psa_module, "_CHUNK_ROWS", block)
     write_psa_csv(tmp_path / "blocks.csv", sample)
     _write_whole_table(tmp_path / "whole.csv", sample)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -106,7 +107,7 @@ def test_block_writes_match_a_whole_table_write(tmp_path, monkeypatch, case, blo
 
 def test_write_memory_bounded(tmp_path):
     # 10^5 rows of 4 columns: a whole-table write holds 400,000 Python
-    # floats in lists (about 22 MB); a block of rows holds about 2 MB
+    # floats in lists (about 22 MB); a block of 4096 rows holds about 1 MB
     sample = generate_psa(LinearGaussianSpec(), 100_000, seed=1)
     write_psa_csv(tmp_path / "warm.csv", sample.take(np.arange(100)))
     tracemalloc.start()
@@ -172,6 +173,19 @@ def test_unparseable_cell_names_column(tmp_path):
     path = _write(tmp_path, "param:x,nb:0,nb:1\n1,2,3\n1,abc,3\n")
     with pytest.raises(PsaFormatError, match="'nb:0'"):
         read_psa_csv(path)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    sample = generate_psa(NonlinearToySpec(), 150, seed=3, k=20_000.0)
+    plain = tmp_path / "plain.csv"
+    write_psa_csv(plain, sample)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = read_psa_csv(plain, k=20_000.0), read_psa_csv(bom, k=20_000.0)
+    assert b.param_names == a.param_names
+    for name in ("params", "nb", "effects", "costs"):
+        assert np.array_equal(getattr(b, name), getattr(a, name))
 
 
 def test_empty_file(tmp_path):
