@@ -155,40 +155,57 @@ def _parse_changes(raw: str | None, param_names) -> dict[str, int]:
     return out
 
 
-def _single_param_index(sample: PsaSample, names: list[str], method: str) -> int:
-    if len(names) != 1:
+def _subsets(args) -> list[list[str]]:
+    """The parameter subsets of ``--params``: one for ``evppi``, one per
+    ``;``-separated chunk for ``compare`` and ``sweep``."""
+    chunks = [args.params] if args.command == "evppi" else args.params.split(";")
+    return [_split_params(chunk) for chunk in chunks]
+
+
+def _check_changes_cover(sample: PsaSample, method: str, subsets, changes) -> None:
+    """Method sad needs a ``--changes`` count for each subset's parameter;
+    an unknown name is reported as such first."""
+    if method != "sad":
+        return
+    for names in subsets:
+        sample.param_index(names[0])
+        if names[0] not in changes:
+            raise _UsageError(f"--changes does not cover parameter {names[0]!r}")
+
+
+def _so_threshold(sample: PsaSample, args) -> float:
+    """The SO bias cap: ``--bias-threshold``, or ``--bias-threshold-relative``
+    times the sample's EVPI."""
+    if args.bias_threshold_relative is None:
+        return args.bias_threshold
+    full = evpi(sample.nb)
+    if full == 0:
         raise _UsageError(
-            f"method {method} handles a single parameter only, got {len(names)}"
+            "--bias-threshold-relative sets the cap as a fraction of "
+            "the EVPI, which is 0 for this sample"
         )
-    return sample.param_index(names[0])
+    return args.bias_threshold_relative * full
 
 
 def _estimate_for_method(
     sample: PsaSample, method: str, names: list[str], args, changes: dict[str, int]
 ):
-    """Run one estimator; ``changes`` is the parsed ``--changes``."""
+    """Run one estimator; ``changes`` is the parsed ``--changes``.  The
+    method's rules (one name for so and sad, a count in ``changes`` for
+    sad) are the caller's to check."""
     bootstrap = (
         BootstrapConfig(n_replicates=args.bootstrap, seed=args.seed)
         if args.bootstrap
         else None
     )
     if method == "so":
-        p = _single_param_index(sample, names, "so")
+        p = sample.param_index(names[0])
         if args.bins is not None:
             n_bins = args.bins
             chosen_bias = None
         else:
-            threshold = args.bias_threshold
-            if args.bias_threshold_relative is not None:
-                full = evpi(sample.nb)
-                if full == 0:
-                    raise _UsageError(
-                        "--bias-threshold-relative sets the cap as a fraction of "
-                        "the EVPI, which is 0 for this sample"
-                    )
-                threshold = args.bias_threshold_relative * full
             n_bins, chosen_bias = so_choose_bins(
-                sample, p, threshold=threshold, seed=args.seed
+                sample, p, threshold=_so_threshold(sample, args), seed=args.seed
             )
         estimate = so_evppi(sample, p, n_bins)
         if chosen_bias is not None:
@@ -202,15 +219,8 @@ def _estimate_for_method(
         )
 
     if method == "sad":
-        if args.changes is None:
-            raise _UsageError(
-                "method sad needs --changes: the number of decision changes is a "
-                "judgment call read off the visual tool and is never defaulted"
-            )
-        p = _single_param_index(sample, names, "sad")
-        d = changes.get(names[0])
-        if d is None:
-            raise _UsageError(f"--changes does not cover parameter {names[0]!r}")
+        p = sample.param_index(names[0])
+        d = changes[names[0]]
         estimate = sad_evppi(sample, p, d)
         return with_bootstrap(
             estimate, lambda s: sad_evppi(s, p, d), sample, bootstrap, args.threads
@@ -225,17 +235,16 @@ def _estimate_for_method(
             bootstrap=bootstrap,
             n_threads=args.threads,
         )
-    if method == "gp":
-        return gp_evppi(
-            sample, subset, seed=args.seed, bootstrap=bootstrap, n_threads=args.threads
-        )
-    raise _UsageError(f"unknown method {method!r}")
+    return gp_evppi(
+        sample, subset, seed=args.seed, bootstrap=bootstrap, n_threads=args.threads
+    )
 
 
 def cmd_evppi(args) -> int:
+    [names] = _subsets(args)
     sample = read_psa_csv(args.file, k=_wtp(args))
-    names = _split_params(args.params)
     changes = _parse_changes(args.changes, sample.param_names)
+    _check_changes_cover(sample, args.method, [names], changes)
     estimate = _estimate_for_method(sample, args.method, names, args, changes)
     notes: list[str] = []
     if args.method == "sad" and changes[names[0]] == 0:
@@ -281,7 +290,7 @@ def _format_cell(cell: dict, decimals: int) -> str:
 
 def cmd_compare(args) -> int:
     model = _load_spec(args.model) if args.model else None
-    subsets = [_split_params(chunk) for chunk in args.params.split(";")]
+    subsets = _subsets(args)
     sample = read_psa_csv(args.file, k=_wtp(args))
     notes: list[str] = []
     k = _sample_k(args.file, sample, args, notes)
@@ -356,9 +365,7 @@ def _k_grid(args) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.model) if args.model else None
-    if spec is None and args.sims is not None:
-        raise _UsageError("--sims applies only with --model; --file fixes the sample")
-    subsets = [_split_params(chunk) for chunk in args.params.split(";")]
+    subsets = _subsets(args)
     grid = _k_grid(args)
     if spec is not None:
         sims = 10_000 if args.sims is None else args.sims
@@ -376,6 +383,7 @@ def cmd_sweep(args) -> int:
             "so net benefit cannot be rebuilt across the grid"
         )
     changes = _parse_changes(args.changes, sample.param_names)
+    _check_changes_cover(sample, args.method, subsets, changes)
 
     evpi_curve = []
     evppi_curves: dict[str, list[float]] = {",".join(n): [] for n in subsets}
@@ -525,18 +533,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_counts(args) -> None:
-    """Reject a count or fraction that cannot mean what was asked, before
-    any work."""
+def _check_flags(args) -> None:
+    """Reject a flag that cannot mean what was asked, before any work: a
+    count or fraction out of range, and the rules of ``--method`` that need
+    no sample."""
+    if getattr(args, "file", None) is not None and getattr(args, "sims", None) is not None:
+        raise _UsageError("--sims applies only with --model; --file fixes the sample")
     bootstrap = getattr(args, "bootstrap", 0)
     if bootstrap < 0 or bootstrap == 1:
         raise _UsageError(
             f"--bootstrap must be 0 (no standard error) or at least 2, got {bootstrap}"
         )
-    # the --mc-* floors are the ones nested_mc_evppi enforces; a --bins
-    # above the sample's row count is caught per sample
+    # the --mc-* floors are the ones nested_mc_evppi enforces and the --sims
+    # floor generate_psa's; a --bins above the sample's row count is caught
+    # per sample
     for flag, floor in (("threads", 1), ("mc_outer", 2), ("mc_inner", 1), ("bins", 1),
-                        ("seed", 0)):
+                        ("seed", 0), ("sims", 2)):
         value = getattr(args, flag, None)
         if value is not None and value < floor:
             name = "--" + flag.replace("_", "-")
@@ -549,13 +561,25 @@ def _check_counts(args) -> None:
     k = getattr(args, "k", None)
     if k is not None and not (k >= 0 and math.isfinite(k)):
         raise _UsageError(f"--k must be finite and >= 0, got {k}")
+    method = getattr(args, "method", None)
+    if method == "sad" and args.changes is None:
+        raise _UsageError(
+            "method sad needs --changes: the number of decision changes is a "
+            "judgment call read off the visual tool and is never defaulted"
+        )
+    if method in ("so", "sad"):
+        for names in _subsets(args):
+            if len(names) != 1:
+                raise _UsageError(
+                    f"method {method} handles a single parameter only, got {len(names)}"
+                )
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_counts(args)
+        _check_flags(args)
         return args.func(args)
     except (_UsageError, OSError, ValueError) as exc:
         # the one error boundary; an OSError from open names its path, as in

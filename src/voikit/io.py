@@ -4,7 +4,9 @@ Header cells are prefixed by kind: ``param:<name>`` for parameter draws and
 either ``nb:<treatment>`` columns or paired ``effect:<t>`` / ``cost:<t>``
 columns for the outcomes.  One row per simulation, UTF-8, plain decimal
 point.  Floats are written with ``repr`` so a write/read round trip is
-bitwise exact.
+bitwise exact.  Every error the reader finds in a file, header errors and
+a file of one row or one treatment included, is a :class:`PsaFormatError`
+that starts with the file's path.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .psa import PsaSample, _row_chunks, build_nb
+from .psa import PsaSample, _row_chunks, _wtp_value, build_nb
 
 __all__ = ["PsaFormatError", "read_psa_csv", "write_psa_csv"]
 
@@ -54,7 +56,7 @@ def _split_header(header: list[str]):
     return params, nb, effects, costs
 
 
-def _parse_rows(lines: list[str], header: list[str], path: Path) -> np.ndarray:
+def _parse_rows(lines: list[str], header: list[str]) -> np.ndarray:
     """The data rows as a table of len(header) columns, each cell read as
     ``float(cell)`` reads it.
 
@@ -78,10 +80,10 @@ def _parse_rows(lines: list[str], header: list[str], path: Path) -> np.ndarray:
         else:
             if table.shape == (len(lines), width):
                 return table
-    return _parse_cells(lines, header, path)
+    return _parse_cells(lines, header)
 
 
-def _parse_cells(lines: list[str], header: list[str], path: Path) -> np.ndarray:
+def _parse_cells(lines: list[str], header: list[str]) -> np.ndarray:
     """The data lines through csv, each cell through ``float``; the first
     ragged row or unparseable cell raises :class:`PsaFormatError`."""
     width = len(header)
@@ -89,16 +91,13 @@ def _parse_cells(lines: list[str], header: list[str], path: Path) -> np.ndarray:
     table = np.empty((len(rows), width), dtype=float)
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise PsaFormatError(
-                f"{path}: row {i + 2} has {len(row)} cells, header has {width}"
-            )
+            raise PsaFormatError(f"row {i + 2} has {len(row)} cells, header has {width}")
         for j, cell in enumerate(row):
             try:
                 table[i, j] = float(cell)
             except ValueError:
                 raise PsaFormatError(
-                    f"{path}: row {i + 2}, column {header[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
+                    f"row {i + 2}, column {header[j]!r}: cannot parse {cell!r} as a number"
                 ) from None
     return table
 
@@ -108,46 +107,55 @@ def read_psa_csv(path, k: float | None = None) -> PsaSample:
 
     Files with ``effect:``/``cost:`` columns need ``k`` to assemble the net
     benefit; files with ``nb:`` columns must not mix in effect/cost columns.
+    Every error the file's content causes is a :class:`PsaFormatError` that
+    starts with the path.  An invalid ``k`` and an ``OSError`` from opening
+    the file keep their own messages.
     """
     path = Path(path)
+    if k is not None:
+        k = _wtp_value(k)  # the caller's error, not the file's
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports
     # begin with
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        try:
+            return _read_sample(fh, k)
+        except ValueError as exc:  # PsaFormatError, PsaSample's checks, decoding
+            reason = f"not UTF-8 text: {exc}" if isinstance(exc, UnicodeDecodeError) else exc
+            raise PsaFormatError(f"{path}: {reason}") from None
+
+
+def _read_sample(fh, k: float | None) -> PsaSample:
+    """The sample an open PSA CSV file holds; its errors name no file."""
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise PsaFormatError(f"{path}: empty file") from None
-            # newline="" ends lines at \r\n, \r and \n, as csv does, and keeps them
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise PsaFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise PsaFormatError("empty file") from None
+    # newline="" ends lines at \r\n, \r and \n, as csv does, and keeps them
+    lines = fh.readlines()
 
     params, nb_cols, effect_cols, cost_cols = _split_header(header)
     if not params:
-        raise PsaFormatError(f"{path}: no param: columns in header")
+        raise PsaFormatError("no param: columns in header")
     if nb_cols and (effect_cols or cost_cols):
-        raise PsaFormatError(
-            f"{path}: mixing nb: with effect:/cost: columns is not supported"
-        )
+        raise PsaFormatError("mixing nb: with effect:/cost: columns is not supported")
     if not nb_cols:
         if not effect_cols and not cost_cols:
-            raise PsaFormatError(f"{path}: no nb: or effect:/cost: columns in header")
+            raise PsaFormatError("no nb: or effect:/cost: columns in header")
         if set(effect_cols) != set(cost_cols):
             odd = sorted(set(effect_cols) ^ set(cost_cols))
             raise PsaFormatError(
-                f"{path}: effect:/cost: columns must pair up; unmatched treatment(s) {odd}"
+                f"effect:/cost: columns must pair up; unmatched treatment(s) {odd}"
             )
         if k is None:
             raise PsaFormatError(
-                f"{path}: effect/cost columns need a willingness to pay to build nb"
+                "effect/cost columns need a willingness to pay to build nb"
             )
 
     if not lines:
-        raise PsaFormatError(f"{path}: no data rows")
-    table = _parse_rows(lines, header, path)
+        raise PsaFormatError("no data rows")
+    table = _parse_rows(lines, header)
     if not np.all(np.isfinite(table)):
-        raise PsaFormatError(f"{path}: non-finite values in data")
+        raise PsaFormatError("non-finite values in data")
 
     param_names = tuple(name for name, _ in params)
     p_matrix = table[:, [pos for _, pos in params]]
@@ -171,7 +179,7 @@ def read_psa_csv(path, k: float | None = None) -> PsaSample:
         nb=build_nb(effects, costs, k),
         effects=effects,
         costs=costs,
-        k=float(k),
+        k=k,
         treatment_names=treatments,
     )
 

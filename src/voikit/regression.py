@@ -131,7 +131,8 @@ def bootstrap_estimates(
     A replicate where the estimator fails numerically (one of
     ``REPLICATE_FAILURES``) is skipped; any other exception is a bug and
     propagates.  More than 20% skipped replicates aborts, with the first
-    failure as the cause.
+    failure as the cause; since a config has at least 2 replicates, a run
+    that does not abort keeps at least 2 values.
     The whole run, pool included, is one :func:`voikit._blas.one_blas_thread`
     scope: OpenBLAS stays at one thread, so ``n_threads`` is the only
     parallelism.
@@ -177,8 +178,6 @@ def bootstrap_se(
 ) -> float:
     """Sample standard deviation of the estimator over bootstrap replicates."""
     values, _ = bootstrap_estimates(estimator, sample, config, n_threads=n_threads)
-    if values.size < 2:
-        raise EstimationError("fewer than 2 successful bootstrap replicates")
     return float(np.std(values, ddof=1))
 
 

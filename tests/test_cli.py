@@ -47,6 +47,12 @@ def _run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+_SAD_NEEDS_CHANGES = (
+    "method sad needs --changes: the number of decision changes is a "
+    "judgment call read off the visual tool and is never defaulted"
+)
+
+
 def _assert_one_error_line(rc, out, err, path):
     assert rc == 1
     assert out == ""
@@ -727,6 +733,10 @@ class TestUsageErrors:
             ["compare", "--params", ";"], "no parameter names given", id="compare-params"
         ),
         pytest.param(
+            ["evppi", "--method", "gam", "--params", ","], "no parameter names given",
+            id="evppi-params",
+        ),
+        pytest.param(
             ["compare", "--params", "phi", "--model", "no-such-model"],
             "unknown model 'no-such-model': expected 'linear-gaussian', 'toy' "
             "or a JSON file",
@@ -742,6 +752,68 @@ class TestUsageErrors:
         assert rc == 1
         assert out == ""
         assert err == f"voikit: error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(
+            ["sweep", "--file", "psa.csv", "--method", "sad", "--params", "phi"],
+            _SAD_NEEDS_CHANGES, id="sweep-sad-file",
+        ),
+        pytest.param(
+            ["sweep", "--model", "toy", "--method", "sad", "--params", "risk_reduction"],
+            _SAD_NEEDS_CHANGES, id="sweep-sad-model",
+        ),
+        pytest.param(
+            ["sweep", "--model", "toy", "--method", "so",
+             "--params", "risk_reduction;risk_reduction,p_infection"],
+            "method so handles a single parameter only, got 2", id="sweep-so-subset",
+        ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "sad", "--params", "phi"],
+            _SAD_NEEDS_CHANGES, id="evppi-sad",
+        ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "sad", "--params", "phi,psi",
+             "--changes", "1"],
+            "method sad handles a single parameter only, got 2", id="evppi-sad-subset",
+        ),
+        pytest.param(
+            ["simulate", "--model", "toy", "--sims", "1", "--out", "psa.csv"],
+            "--sims must be at least 2, got 1", id="simulate-sims",
+        ),
+        pytest.param(
+            ["sweep", "--model", "toy", "--params", "risk_reduction", "--sims", "1"],
+            "--sims must be at least 2, got 1", id="sweep-sims",
+        ),
+    ])
+    def test_flag_rule_rejected_before_any_sample(self, capsys, monkeypatch, argv, message):
+        import voikit.cli as cli
+
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a sample was read or generated")
+
+        monkeypatch.setattr(cli, "read_psa_csv", no_sample)
+        monkeypatch.setattr(cli, "generate_psa", no_sample)
+        rc, out, err = _run(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert err == f"voikit: error: {message}\n"
+
+    @pytest.mark.parametrize("source", ["file", "model"])
+    def test_changes_cover_every_sweep_subset_before_any_estimate(
+        self, capsys, monkeypatch, toy_csv, source
+    ):
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("the sample was priced at a grid point")
+
+        monkeypatch.setattr(PsaSample, "at_wtp", no_pricing)
+        where = ["--file", toy_csv] if source == "file" else ["--model", "toy", "--sims", "50"]
+        rc, out, err = _run(capsys, [
+            "sweep", *where, "--method", "sad", "--params", "risk_reduction;p_infection",
+            "--changes", "risk_reduction=1", "--k-list", "10000,20000",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == "voikit: error: --changes does not cover parameter 'p_infection'\n"
 
     @pytest.mark.parametrize("argv, value", [
         pytest.param(["evppi", "--method", "so", "--params", "phi"], "-1", id="evppi"),

@@ -221,6 +221,81 @@ def test_treatment_names_preserved(tmp_path):
     assert sample.treatment_names == ("placebo", "drug")
 
 
+_NB_ROWS = "1,2,3\n4,5,6\n"
+_REFUSALS = {
+    # header errors
+    "no-kind-prefix": (
+        "param:x,benefit,nb:1\n" + _NB_ROWS, None,
+        "column 2 ('benefit') has no kind prefix; expected param:<name>, nb:<t>, "
+        "effect:<t> or cost:<t>",
+    ),
+    "empty-name": ("param:x,nb:,nb:1\n" + _NB_ROWS, None, "column 2 ('nb:') has an empty name"),
+    "duplicate-param": (
+        "param:x,param:x,nb:0,nb:1\n1,2,3,4\n1,2,3,4\n", None, "duplicate column param:x"
+    ),
+    "duplicate-nb": ("param:x,nb:0,nb:0\n" + _NB_ROWS, None, "duplicate column nb:0"),
+    "unknown-kind": (
+        "param:x,foo:1,nb:1\n" + _NB_ROWS, None, "column 2 ('foo:1') has unknown kind 'foo'"
+    ),
+    # files PsaSample refuses
+    "one-row": ("param:x,nb:0,nb:1\n1,2,3\n", None, "need at least 2 simulation rows"),
+    "one-row-effect-cost": (
+        "param:x,effect:0,effect:1,cost:0,cost:1\n1,2,3,4,5\n", 1000.0,
+        "need at least 2 simulation rows",
+    ),
+    "one-treatment-nb": ("param:x,nb:0\n1,2\n3,4\n", None, "need at least 2 treatment options"),
+    "one-treatment-effect-cost": (
+        "param:x,effect:0,cost:0\n" + _NB_ROWS, 1000.0, "need at least 2 treatment options"
+    ),
+    # errors that named the file already
+    "empty-file": ("", None, "empty file"),
+    "no-param": ("nb:0,nb:1\n1,2\n3,4\n", None, "no param: columns in header"),
+    "mixed": (
+        "param:x,nb:0,effect:0,cost:0\n1,2,3,4\n", None,
+        "mixing nb: with effect:/cost: columns is not supported",
+    ),
+    "no-outcomes": ("param:x,param:y\n1,2\n3,4\n", None, "no nb: or effect:/cost: columns in header"),
+    "unpaired": (
+        "param:x,effect:0,effect:1,cost:0\n1,2,3,4\n", 1000.0,
+        "effect:/cost: columns must pair up; unmatched treatment(s) ['1']",
+    ),
+    "needs-k": (
+        "param:x,effect:0,cost:0\n1,2,3\n", None,
+        "effect/cost columns need a willingness to pay to build nb",
+    ),
+    "no-data-rows": ("param:x,nb:0,nb:1\n", None, "no data rows"),
+    "ragged": ("param:x,nb:0,nb:1\n1,2,3\n1,2\n", None, "row 3 has 2 cells, header has 3"),
+    "unparseable": (
+        "param:x,nb:0,nb:1\n1,2,3\n1,abc,3\n", None,
+        "row 3, column 'nb:0': cannot parse 'abc' as a number",
+    ),
+    "non-finite": ("param:x,nb:0,nb:1\n1,2,inf\n1,2,3\n", None, "non-finite values in data"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, k, reason", _REFUSALS.values(), ids=_REFUSALS.keys()
+)
+def test_every_refusal_starts_with_the_path(tmp_path, text, k, reason):
+    path = _write(tmp_path, text)
+    with pytest.raises(PsaFormatError) as info:
+        read_psa_csv(path, k=k)
+    assert str(info.value) == f"{path}: {reason}"
+
+
+def test_caller_errors_keep_their_own_text(tmp_path):
+    # an OSError from open and an invalid k are not the file's content
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        read_psa_csv(missing)
+    assert str(info.value) == f"[Errno 2] No such file or directory: {str(missing)!r}"
+    path = _write(tmp_path, "param:x,effect:0,effect:1,cost:0,cost:1\n1,2,3,4,5\n6,7,8,9,0\n")
+    with pytest.raises(ValueError) as info:
+        read_psa_csv(path, k=-1.0)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "willingness to pay must be finite and >= 0, got -1.0"
+
+
 def _read_cellwise(path):
     """Reference reader: every row through csv and every cell through
     ``float``, as read_psa_csv parsed data rows before its numpy fast

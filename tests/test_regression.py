@@ -196,6 +196,30 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match="bootstrap aborted"):
             bootstrap_estimates(broken, lin_sample, BootstrapConfig(10, seed=0))
 
+    @pytest.mark.parametrize("n_replicates", range(2, 11))
+    def test_abort_rule_keeps_two_values(self, lin_sample, n_replicates):
+        # the standard deviation needs 2 values; the abort rule is what
+        # guarantees them: with 2-4 replicates one failure aborts, and with
+        # 5 or more at most 20% may fail
+        for n_failed in range(n_replicates + 1):
+            calls = {"n": 0}
+
+            def failing_first(s):
+                calls["n"] += 1
+                if calls["n"] <= n_failed:
+                    raise EstimationError("synthetic failure")
+                return float(s.nb[:, 1].mean())
+
+            config = BootstrapConfig(n_replicates, seed=0)
+            try:
+                values, failures = bootstrap_estimates(failing_first, lin_sample, config)
+            except EstimationError as exc:
+                assert "bootstrap aborted" in str(exc)
+                assert n_failed > 0.2 * n_replicates
+                continue
+            assert failures == n_failed
+            assert values.size == n_replicates - n_failed >= 2
+
     def test_programming_errors_propagate(self, lin_sample):
         def buggy(s):
             return s.nb[:, 1].mean() + "oops"
