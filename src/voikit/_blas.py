@@ -5,7 +5,11 @@ BLAS and LAPACK calls are small, so those pools spend more CPU waking and
 spinning than they save in wall time, and the bootstrap pool
 (``--threads``) already runs replicates side by side.  Inside
 :func:`one_blas_thread` every OpenBLAS loaded in the process runs at one
-thread; the outermost exit restores the count each had.
+thread; the outermost exit restores the count each had.  A CLI process
+starts every OpenBLAS at one thread unless the caller set
+``OPENBLAS_NUM_THREADS`` (see :mod:`voikit.cli`), so there the scope finds
+each count at 1 already; library callers keep the pool they started with
+outside a fit.
 
 The libraries are found in ``/proc/self/maps`` and their thread-count
 functions resolved with ctypes.  Where neither turns up (not Linux, not

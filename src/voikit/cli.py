@@ -5,14 +5,27 @@ Exit codes: 0 success, 1 usage, input-parsing or file-access error, 2
 estimation failure.  JSON outputs carry full-precision values; the
 human-readable comparison table rounds to 2 decimals (1 on request)
 because the estimators only approximate the target to begin with.
+
+A process that imports this module before numpy starts OpenBLAS at one
+thread unless the caller set ``OPENBLAS_NUM_THREADS``.  Every fit runs
+OpenBLAS at one thread anyway (:mod:`voikit._blas`); a worker pool that
+no fit uses slows each cold process's start, and its idle workers spin on
+the CPUs.  OpenBLAS reads the variable once, when it loads, so a process
+that loaded numpy first keeps its pool, and its environment is left as it
+was.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -417,9 +430,8 @@ def cmd_vistool(args) -> int:
     p = sample.param_index(args.param)
     t, t_prime = args.treatments
     curve = cumsum_curve(sample, p, t, t_prime)
-    lines = ["phi,cumsum"]
-    lines += [f"{repr(float(x))},{repr(float(c))}" for x, c in zip(curve.phi, curve.values)]
-    text = "\n".join(lines) + "\n"
+    points = np.column_stack([curve.phi, curve.values]).ravel().tolist()
+    text = "phi,cumsum\n" + "%r,%r\n" * len(curve.phi) % tuple(points)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -205,13 +205,15 @@ def write_psa_csv(path, sample: PsaSample) -> None:
         columns.append(sample.nb)
 
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes a Python float as its repr, the shortest round-trip
-        # form; converting a block of rows at a time bounds how many of
-        # those floats (one object per cell) are alive at once
+        csv.writer(fh).writerow(header)
+        # %r is a float's repr, the shortest round-trip form and what csv
+        # writes; one % operation formats a block of rows, and a block at a
+        # time bounds how many of those floats (one object per cell) are
+        # alive at once
+        row = ",".join(["%r"] * len(header)) + "\r\n"
         for rows in _row_chunks(sample.n_sims):
-            writer.writerows(np.hstack([c[rows] for c in columns]).tolist())
+            block = np.hstack([c[rows] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_provenance(path, payload: dict) -> None:

@@ -186,3 +186,63 @@ def test_scipy_loaded_inside_an_open_scope_runs_at_one_thread():
     assert set(out["inside"].values()) == {1}
     assert set(out["after"]) == set(out["inside"])
     assert set(out["after"].values()) == {2}
+
+
+_COLD_CLI_SCRIPT = """
+import contextlib, importlib, io, json, os, sys
+importlib.import_module(sys.argv[1])
+import voikit.cli
+from voikit import _blas
+
+csv_path = sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert voikit.cli.main(["simulate", "--model", "linear-gaussian", "--sims", "300",
+                            "--seed", "1", "--out", csv_path]) == 0
+    assert voikit.cli.main(["evppi", "--file", csv_path, "--method", "gp",
+                            "--params", "phi"]) == 0
+print(json.dumps({
+    "mapped": sorted(_blas._mapped_openblas()),
+    "counts": _blas._thread_counts(),
+    "os_threads": len(os.listdir("/proc/self/task")),
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+def _cold_cli_gp_fit(tmp_path, first="voikit.cli", **env_vars):
+    """The process state after the CLI's simulate and a GP evppi in a fresh
+    interpreter that imports module ``first`` first, with neither BLAS
+    thread variable set unless given."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(voikit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_CLI_SCRIPT, first, str(tmp_path / "psa.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+@needs_openblas
+def test_cold_cli_process_runs_no_openblas_worker(tmp_path):
+    # numpy's and scipy's OpenBLAS both start at one thread, so the process
+    # holds its main thread alone
+    out = _cold_cli_gp_fit(tmp_path)
+    assert out["mapped"]
+    assert out["counts"] == dict.fromkeys(out["mapped"], 1)
+    assert out["os_threads"] == 1
+
+
+@needs_openblas
+def test_cold_cli_process_keeps_the_callers_thread_count(tmp_path):
+    out = _cold_cli_gp_fit(tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert out["counts"] == dict.fromkeys(out["mapped"], 2)
+    assert out["OPENBLAS_NUM_THREADS"] == "2"
+
+
+@needs_openblas
+def test_cold_cli_process_leaves_a_loaded_numpy_alone(tmp_path):
+    out = _cold_cli_gp_fit(tmp_path, first="numpy")
+    assert out["OPENBLAS_NUM_THREADS"] is None

@@ -14,6 +14,7 @@ from voikit import (
     LinearGaussianSpec,
     NonlinearToySpec,
     PsaSample,
+    cumsum_curve,
     evpi,
     generate_psa,
     read_psa_csv,
@@ -496,6 +497,28 @@ class TestVistoolCommand:
         assert lines[0] == "phi,cumsum"
         assert len(lines) == 2_001
         assert float(lines[1].split(",")[1]) == 0.0
+
+    def test_curve_is_each_value_repr(self, capsys, tmp_path):
+        # three treatments; the parameter column holds signed zero, a
+        # subnormal and repr's exponent forms
+        edges = [-0.0, 5e-324, 1e16, 1e-5, 0.1]
+        sample = PsaSample(
+            param_names=("x",),
+            params=np.array(edges)[:, None],
+            nb=np.column_stack([edges, edges[::-1], np.zeros(5)]),
+        )
+        path = tmp_path / "edges.csv"
+        write_psa_csv(path, sample)
+        curve = cumsum_curve(sample, 0, 2, 0)
+        expected = "phi,cumsum\n" + "".join(
+            f"{repr(float(x))},{repr(float(c))}\n" for x, c in zip(curve.phi, curve.values)
+        )
+        rc, out, _ = _run(capsys, [
+            "vistool", "--file", str(path), "--param", "x", "--treatments", "2", "0",
+        ])
+        assert rc == 0
+        assert out == expected
+        assert out.splitlines()[1] == "-0.0,0.0"
 
     def test_k_on_nb_only_file_warns_on_stderr(self, capsys, lin_csv):
         rc, plain, err = _run(capsys, ["vistool", "--file", lin_csv, "--param", "phi"])
@@ -1055,6 +1078,7 @@ def scipy_modules():
 loaded = {}
 import voikit
 loaded["import voikit"] = scipy_modules()
+numpy_with_package = "numpy" in sys.modules
 import voikit.cli
 loaded["import voikit.cli"] = scipy_modules()
 
@@ -1079,7 +1103,8 @@ for name, argv in commands.items():
 
 fitted, _ = voikit.gam_fit_detail(voikit.read_psa_csv(csv_path), voikit.ParamSubset.of(0, 1))
 loaded["gam fit"] = scipy_modules()
-print(json.dumps({"loaded": loaded, "fit_rows": len(fitted)}))
+print(json.dumps({"loaded": loaded, "numpy with package": numpy_with_package,
+                  "fit_rows": len(fitted)}))
 """
 
 
@@ -1095,6 +1120,8 @@ def test_commands_without_a_smoother_never_import_scipy(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     report = json.loads(result.stdout)
+    # the package loads its modules, and numpy, at the first name looked up
+    assert report.pop("numpy with package") is False
     loaded = report.pop("loaded")
     assert loaded == {
         step: [] for step in (

@@ -79,6 +79,26 @@ def _write_whole_table(path, sample):
         writer.writerows(table.tolist())
 
 
+_EDGES = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1])
+
+
+def _edge_sample():
+    """Three treatments, effect/cost form; every column holds the floats
+    whose repr differs most from a fixed format: signed zero, a subnormal,
+    the exponent forms 1e+16 and 1e-05, and 0.1."""
+    effects = np.column_stack([_EDGES, _EDGES[::-1], np.roll(_EDGES, 2)])
+    costs = -np.roll(effects, 1, axis=0)
+    return PsaSample(
+        param_names=("x", "y"),
+        params=np.column_stack([_EDGES, -_EDGES]),
+        nb=effects - costs,
+        effects=effects,
+        costs=costs,
+        k=1.0,
+        treatment_names=("a", "b", "c"),
+    )
+
+
 WRITE_CASES = {
     "lg-200": lambda: generate_psa(LinearGaussianSpec(), 200, seed=9),
     # two full blocks and a partial third at the shipped block size
@@ -91,6 +111,7 @@ WRITE_CASES = {
         params=np.array([[-0.0], [5e-324]]),
         nb=np.array([[1e300, 0.1], [-2.5, 3.0]]),
     ),
+    "edges-t3": _edge_sample,
 }
 
 
