@@ -1,5 +1,7 @@
-"""Command-line front end: estimator dispatch, comparison tables, sweeps,
-the cumulative-sum visual-tool data, and synthetic-sample generation.
+"""Command-line front end: flags and input files in, JSON and tables out.
+Each estimate is one call of voikit.regression.estimate, which holds the
+methods' rules; the CLI adds comparison tables, sweeps, the cumulative-sum
+visual-tool data, and synthetic-sample generation.
 
 Exit codes: 0 success, 1 usage, input-parsing or file-access error, 2
 estimation failure.  JSON outputs carry full-precision values; the
@@ -26,7 +28,6 @@ if "numpy" not in sys.modules:
 import argparse
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +43,9 @@ from .models import (
     spec_to_dict,
 )
 from .nested_mc import nested_mc_evppi
-from .psa import EstimationError, ParamSubset, PsaSample, evpi
-from .regression import BootstrapConfig, gam_evppi, gp_evppi, with_bootstrap
-from .single_param import (
-    DEFAULT_BIAS_THRESHOLD, cumsum_curve, sad_evppi, so_choose_bins, so_evppi,
-)
-
-METHOD_ORDER = ("SO", "SAD", "GP", "GAM", "MC")
+from .psa import METHOD_TAGS, EstimationError, ParamSubset, PsaSample, evpi
+from .regression import MethodRuleError, check_method, estimate
+from .single_param import cumsum_curve
 
 
 class _UsageError(Exception):
@@ -131,10 +128,6 @@ def _split_params(raw: str) -> list[str]:
     return names
 
 
-def _interactions_flag(choice: str) -> bool | None:
-    return {"auto": None, "none": False, "pairwise": True}[choice]
-
-
 def _parse_changes(raw: str | None, param_names) -> dict[str, int]:
     """--changes accepts a single count, which applies to every parameter
     in ``param_names``, or name=count pairs.
@@ -175,81 +168,19 @@ def _subsets(args) -> list[list[str]]:
     return [_split_params(chunk) for chunk in chunks]
 
 
-def _check_changes_cover(sample: PsaSample, method: str, subsets, changes) -> None:
-    """Method sad needs a ``--changes`` count for each subset's parameter;
-    an unknown name is reported as such first."""
-    if method != "sad":
-        return
-    for names in subsets:
-        sample.param_index(names[0])
-        if names[0] not in changes:
-            raise _UsageError(f"--changes does not cover parameter {names[0]!r}")
-
-
-def _so_threshold(sample: PsaSample, args) -> float:
-    """The SO bias cap: ``--bias-threshold``, or ``--bias-threshold-relative``
-    times the sample's EVPI."""
-    if args.bias_threshold_relative is None:
-        return args.bias_threshold
-    full = evpi(sample.nb)
-    if full == 0:
-        raise _UsageError(
-            "--bias-threshold-relative sets the cap as a fraction of "
-            "the EVPI, which is 0 for this sample"
-        )
-    return args.bias_threshold_relative * full
-
-
-def _estimate_for_method(
-    sample: PsaSample, method: str, names: list[str], args, changes: dict[str, int]
-):
-    """Run one estimator; ``changes`` is the parsed ``--changes``.  The
-    method's rules (one name for so and sad, a count in ``changes`` for
-    sad) are the caller's to check."""
-    bootstrap = (
-        BootstrapConfig(n_replicates=args.bootstrap, seed=args.seed)
-        if args.bootstrap
-        else None
-    )
-    if method == "so":
-        p = sample.param_index(names[0])
-        if args.bins is not None:
-            n_bins = args.bins
-            chosen_bias = None
-        else:
-            n_bins, chosen_bias = so_choose_bins(
-                sample, p, threshold=_so_threshold(sample, args), seed=args.seed
-            )
-        estimate = so_evppi(sample, p, n_bins)
-        if chosen_bias is not None:
-            estimate = replace(estimate, diagnostics={
-                **estimate.diagnostics,
-                "chosen_bias": chosen_bias,
-                "bin_selection": "bias-threshold",
-            })
-        return with_bootstrap(
-            estimate, lambda s: so_evppi(s, p, n_bins), sample, bootstrap, args.threads
-        )
-
-    if method == "sad":
-        p = sample.param_index(names[0])
-        d = changes[names[0]]
-        estimate = sad_evppi(sample, p, d)
-        return with_bootstrap(
-            estimate, lambda s: sad_evppi(s, p, d), sample, bootstrap, args.threads
-        )
-
-    subset = ParamSubset.from_names(names, sample.param_names)
-    if method == "gam":
-        return gam_evppi(
-            sample,
-            subset,
-            interactions=_interactions_flag(args.interactions),
-            bootstrap=bootstrap,
-            n_threads=args.threads,
-        )
-    return gp_evppi(
-        sample, subset, seed=args.seed, bootstrap=bootstrap, n_threads=args.threads
+def _estimate(sample: PsaSample, names: list[str], method: str, args, changes):
+    """The library's estimate with the flags in ``args``; ``changes`` is
+    the parsed ``--changes``."""
+    return estimate(
+        sample, names, method,
+        bins=args.bins,
+        bias_threshold=args.bias_threshold,
+        bias_threshold_relative=args.bias_threshold_relative,
+        changes=changes,
+        interactions=args.interactions,
+        bootstrap=args.bootstrap,
+        seed=args.seed,
+        threads=args.threads,
     )
 
 
@@ -257,15 +188,14 @@ def cmd_evppi(args) -> int:
     [names] = _subsets(args)
     sample = read_psa_csv(args.file, k=_wtp(args))
     changes = _parse_changes(args.changes, sample.param_names)
-    _check_changes_cover(sample, args.method, [names], changes)
-    estimate = _estimate_for_method(sample, args.method, names, args, changes)
+    result = _estimate(sample, names, args.method, args, changes)
     notes: list[str] = []
     if args.method == "sad" and changes[names[0]] == 0:
         notes.append("parameter declared non-influential: estimate is 0")
     payload = {
         "subset": names,
         "k": _sample_k(args.file, sample, args, notes),
-        **estimate.to_dict(),
+        **result.to_dict(),
     }
     if notes:
         payload["warnings"] = notes
@@ -274,9 +204,8 @@ def cmd_evppi(args) -> int:
 
 
 def _compare_cell(sample, method, names, args, changes, model):
-    """One cell of the comparison: the estimate, or ``{"error": reason}``
-    when the method does not apply.  An estimator that fails raises.  The
-    MC column is listed only with a model spec (``model``)."""
+    """One cell of the comparison.  A method that does not apply or fails
+    raises.  The MC column is listed only with a model spec (``model``)."""
     if method == "MC":
         gen = model_for(model)
         subset = ParamSubset.from_names(names, gen.param_names)
@@ -285,11 +214,7 @@ def _compare_cell(sample, method, names, args, changes, model):
             n_outer=args.mc_outer, n_inner=args.mc_inner, seed=args.seed,
         )
         return est.to_dict()
-    if method in ("SO", "SAD") and len(names) != 1:
-        return {"error": "single-parameter method"}
-    if method == "SAD" and names[0] not in changes:
-        return {"error": "changes not provided"}
-    return _estimate_for_method(sample, method.lower(), names, args, changes).to_dict()
+    return _estimate(sample, names, method, args, changes).to_dict()
 
 
 def _format_cell(cell: dict, decimals: int) -> str:
@@ -313,9 +238,7 @@ def cmd_compare(args) -> int:
         ParamSubset.from_names(names, sample.param_names)  # fail fast on unknown names
     changes = _parse_changes(args.changes, sample.param_names)
 
-    methods = list(METHOD_ORDER) if model is not None else [
-        m for m in METHOD_ORDER if m != "MC"
-    ]
+    methods = [m for m in METHOD_TAGS if model is not None or m != "MC"]
     rows = []
     failures: list[str] = []  # why a cell is "-" in the table
     for names in subsets:
@@ -323,9 +246,12 @@ def cmd_compare(args) -> int:
         for m in methods:
             try:
                 cells[m] = _compare_cell(sample, m, names, args, changes, model)
-            except (_UsageError, ValueError, EstimationError) as exc:
-                cells[m] = {"error": str(exc)}
-                failures.append(f"{m} on {','.join(names)}: {exc}")
+            except (ValueError, EstimationError) as exc:
+                reason = getattr(exc, "cell", None)  # the method does not apply
+                if reason is None:
+                    reason = str(exc)
+                    failures.append(f"{m} on {','.join(names)}: {exc}")
+                cells[m] = {"error": reason}
         rows.append({"subset": names, "cells": cells})
 
     report = {
@@ -396,7 +322,8 @@ def cmd_sweep(args) -> int:
             "so net benefit cannot be rebuilt across the grid"
         )
     changes = _parse_changes(args.changes, sample.param_names)
-    _check_changes_cover(sample, args.method, subsets, changes)
+    for names in subsets:
+        check_method(args.method, names, changes, sample)
 
     evpi_curve = []
     evppi_curves: dict[str, list[float]] = {",".join(n): [] for n in subsets}
@@ -404,8 +331,17 @@ def cmd_sweep(args) -> int:
         at_k = sample.at_wtp(float(k))
         evpi_curve.append(evpi(at_k.nb))
         for names in subsets:
-            est = _estimate_for_method(at_k, args.method, names, args, changes)
-            evppi_curves[",".join(names)].append(est.value)
+            try:
+                value = _estimate(at_k, names, args.method, args, changes).value
+            except MethodRuleError:
+                # past the check above, the one rule left to break is SO's
+                # relative cap, undefined where the EVPI is 0.  Every SO bin
+                # count gives exactly 0 there: one arm is best in every row,
+                # and no bin's best mean exceeds its mean of that arm
+                if evpi_curve[-1] != 0:
+                    raise
+                value = 0.0
+            evppi_curves[",".join(names)].append(value)
 
     payload = {
         "k_grid": grid.tolist(),
@@ -462,7 +398,7 @@ def _add_common(p):
     bins = p.add_mutually_exclusive_group()
     bins.add_argument("--bins", type=int, default=None,
                       help="bin count for the bin-averaging method (default: bias-guided)")
-    bins.add_argument("--bias-threshold", type=float, default=DEFAULT_BIAS_THRESHOLD,
+    bins.add_argument("--bias-threshold", type=float, default=None,
                       help="upward-bias cap, in currency units, for automatic bin choice")
     bins.add_argument("--bias-threshold-relative", type=float, default=None,
                       help="bias cap as a fraction of EVPI")
@@ -574,17 +510,9 @@ def _check_flags(args) -> None:
     if k is not None and not (k >= 0 and math.isfinite(k)):
         raise _UsageError(f"--k must be finite and >= 0, got {k}")
     method = getattr(args, "method", None)
-    if method == "sad" and args.changes is None:
-        raise _UsageError(
-            "method sad needs --changes: the number of decision changes is a "
-            "judgment call read off the visual tool and is never defaulted"
-        )
-    if method in ("so", "sad"):
+    if method is not None:
         for names in _subsets(args):
-            if len(names) != 1:
-                raise _UsageError(
-                    f"method {method} handles a single parameter only, got {len(names)}"
-                )
+            check_method(method, names, args.changes)
 
 
 def main(argv=None) -> int:

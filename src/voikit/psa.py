@@ -27,7 +27,8 @@ __all__ = [
     "incremental_nb",
 ]
 
-METHOD_TAGS = ("SO", "SAD", "GAM", "GP", "MC")
+# in the column order of the CLI's comparison table
+METHOD_TAGS = ("SO", "SAD", "GP", "GAM", "MC")
 
 
 class EstimationError(RuntimeError):

@@ -1,5 +1,7 @@
 """Regression-based EVPPI: plug-in value of fitted conditional means, plus
-bootstrap standard errors shared by all sample-based estimators.
+bootstrap standard errors shared by all sample-based estimators, and
+:func:`estimate`, the one call that runs any of those estimators with its
+method's rules and defaults.
 
 The estimate is the full-information formula applied to the fitted
 contrasts against the first treatment: mean over simulations of the best
@@ -12,6 +14,7 @@ resampling simulation rows.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -21,6 +24,7 @@ from ._blas import one_blas_thread
 from .gam import gam_fit_detail
 from .gp import GpHyperparameters, _record_hyperparameters, gp_fit_detail
 from .psa import EstimationError, EvppiEstimate, ParamSubset, PsaSample, evpi
+from .single_param import DEFAULT_BIAS_THRESHOLD, sad_evppi, so_choose_bins, so_evppi
 
 __all__ = [
     "BootstrapConfig",
@@ -31,6 +35,9 @@ __all__ = [
     "bootstrap_estimates",
     "bootstrap_se",
     "with_bootstrap",
+    "estimate",
+    "check_method",
+    "MethodRuleError",
 ]
 
 
@@ -269,3 +276,147 @@ def gp_evppi(
         bootstrap,
         n_threads,
     )
+
+
+# ``interactions`` choices, as ``--interactions`` spells them, and the
+# ``gam_evppi`` argument each stands for
+_INTERACTIONS = {"auto": None, "none": False, "pairwise": True}
+
+# the table's reason for SAD without a count for the subset's parameter
+_NO_COUNT = "changes not provided"
+
+
+class MethodRuleError(ValueError):
+    """An estimate that breaks a rule of its method.
+
+    ``str(exc)`` is the full reason, in the words of the CLI flag that the
+    offending argument mirrors.  ``cell`` is the short reason a comparison
+    table gives a method that does not apply to a subset: it takes one
+    parameter, or it has no change count for it.  ``cell`` is None for a
+    rule that the sample, not the subset, breaks.
+    """
+
+    def __init__(self, message: str, cell: str | None = None):
+        super().__init__(message)
+        self.cell = cell
+
+
+def check_method(method: str, names, changes=None, sample: PsaSample | None = None) -> None:
+    """Raise :class:`MethodRuleError` unless ``method`` (so, sad, gam or gp)
+    can estimate the parameters ``names`` with the change counts
+    ``changes``, as :func:`estimate` takes them.
+
+    Without a ``sample`` only the rules that need none are checked, and of
+    ``changes`` only whether it is None: sad needs counts, and so and sad
+    take one name.  With a sample, sad's name is also looked up in it (an
+    unknown name is reported as such) and must have a count.
+    """
+    method = method.lower()
+    if method == "sad" and changes is None:
+        raise MethodRuleError(
+            "method sad needs --changes: the number of decision changes is a "
+            "judgment call read off the visual tool and is never defaulted",
+            _NO_COUNT,
+        )
+    if method in ("so", "sad") and len(names) != 1:
+        raise MethodRuleError(
+            f"method {method} handles a single parameter only, got {len(names)}",
+            "single-parameter method",
+        )
+    if method == "sad" and sample is not None:
+        sample.param_index(names[0])
+        if isinstance(changes, Mapping) and names[0] not in changes:
+            raise MethodRuleError(
+                f"--changes does not cover parameter {names[0]!r}", _NO_COUNT
+            )
+
+
+def estimate(
+    sample: PsaSample,
+    names,
+    method: str,
+    *,
+    bins: int | None = None,
+    bias_threshold: float | None = None,
+    bias_threshold_relative: float | None = None,
+    changes=None,
+    interactions: str = "auto",
+    bootstrap: int = 0,
+    seed: int = 0,
+    threads: int = 1,
+) -> EvppiEstimate:
+    """EVPPI of the parameters ``names`` by ``method``: "so", "sad", "gam"
+    or "gp" (any case), as ``voikit evppi`` computes it.
+
+    Each keyword stands for the ``voikit evppi`` flag of the same name:
+
+    * ``bins``: SO's bin count.  Without it SO takes the largest candidate
+      count whose estimated upward bias is under a cap
+      (:func:`~voikit.single_param.so_choose_bins`), and the diagnostics
+      add that bias (``chosen_bias``) and ``bin_selection``.
+    * ``bias_threshold``: that cap in currency units (default 0.1).
+    * ``bias_threshold_relative``: the cap as a fraction of the sample's
+      EVPI.  At most one of these three may be given.
+    * ``changes``: SAD's number of decision changes, one count for every
+      parameter or a mapping from parameter name to count.
+    * ``interactions``: GAM's interaction structure, "auto", "none" or
+      "pairwise".
+    * ``bootstrap``: replicates for a standard error, 0 for none.
+    * ``seed``: seeds SO's bias search, GP's subsample and the bootstrap.
+    * ``threads``: worker threads for the bootstrap replicates.
+
+    A method rule that ``names``, ``changes`` or the sample breaks
+    (:func:`check_method`; and SO's relative cap on a sample whose EVPI is
+    0) raises :class:`MethodRuleError`, with the CLI's message.  An unknown
+    name or method, or arguments that exclude each other, raise
+    ``ValueError``; an estimator that fails raises ``EstimationError``.
+    """
+    method = method.lower()
+    if method not in ("so", "sad", "gam", "gp"):
+        raise ValueError(f"method must be so, sad, gam or gp, got {method!r}")
+    if interactions not in _INTERACTIONS:
+        raise ValueError(
+            f"interactions must be one of {list(_INTERACTIONS)}, got {interactions!r}"
+        )
+    if sum(x is not None for x in (bins, bias_threshold, bias_threshold_relative)) > 1:
+        raise ValueError("give at most one of bins, bias_threshold and bias_threshold_relative")
+    check_method(method, names, changes, sample)
+    config = BootstrapConfig(n_replicates=bootstrap, seed=seed) if bootstrap else None
+
+    if method in ("gam", "gp"):
+        subset = ParamSubset.from_names(names, sample.param_names)
+        if method == "gp":
+            return gp_evppi(sample, subset, seed=seed, bootstrap=config, n_threads=threads)
+        return gam_evppi(
+            sample, subset, interactions=_INTERACTIONS[interactions],
+            bootstrap=config, n_threads=threads,
+        )
+
+    p = sample.param_index(names[0])
+    if method == "sad":
+        d = changes[names[0]] if isinstance(changes, Mapping) else changes
+        return with_bootstrap(
+            sad_evppi(sample, p, d), lambda s: sad_evppi(s, p, d), sample, config, threads
+        )
+
+    chosen_bias = None
+    if bins is None:
+        if bias_threshold_relative is None:
+            cap = DEFAULT_BIAS_THRESHOLD if bias_threshold is None else bias_threshold
+        else:
+            full = evpi(sample.nb)
+            if full == 0:
+                raise MethodRuleError(
+                    "--bias-threshold-relative sets the cap as a fraction of "
+                    "the EVPI, which is 0 for this sample"
+                )
+            cap = bias_threshold_relative * full
+        bins, chosen_bias = so_choose_bins(sample, p, threshold=cap, seed=seed)
+    result = so_evppi(sample, p, bins)
+    if chosen_bias is not None:
+        result = replace(result, diagnostics={
+            **result.diagnostics,
+            "chosen_bias": chosen_bias,
+            "bin_selection": "bias-threshold",
+        })
+    return with_bootstrap(result, lambda s: so_evppi(s, p, bins), sample, config, threads)

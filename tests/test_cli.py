@@ -12,9 +12,12 @@ import pytest
 import voikit
 from voikit import (
     LinearGaussianSpec,
+    MethodRuleError,
     NonlinearToySpec,
     PsaSample,
+    build_nb,
     cumsum_curve,
+    estimate,
     evpi,
     generate_psa,
     read_psa_csv,
@@ -485,6 +488,137 @@ class TestSweepCommand:
             "--k-grid", "5:1:2",
         ])
         assert rc == 1
+
+    def test_relative_cap_reads_zero_where_the_evpi_is_zero(self, capsys, tmp_path):
+        # arm 1 costs more in every row: at k = 0 arm 0 is best in every row
+        # and the EVPI is 0; at k = 20000 arm 1 is best above phi of about 0.5
+        rng = np.random.default_rng(7)
+        phi = rng.uniform(0.0, 2.0, size=500)
+        effects = np.column_stack([np.ones(500), 0.5 + phi])
+        costs = np.column_stack([np.full(500, 100.0), 200.0 + phi])
+        path = tmp_path / "dominated_at_zero.csv"
+        write_psa_csv(path, PsaSample(
+            ("phi",), phi[:, None], nb=build_nb(effects, costs, 20000.0),
+            effects=effects, costs=costs, k=20000.0,
+        ))
+        argv = ["--file", str(path), "--method", "so", "--params", "phi"]
+        relative = ["--bias-threshold-relative", "0.1"]
+        rc, out, err = _run(capsys, ["sweep", *argv, *relative, "--k-list", "0,20000"])
+        assert rc == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["evpi"][0] == 0.0
+        assert payload["evppi"]["phi"][0] == 0.0
+        # the other grid point is the evppi command's estimate at its k
+        rc, out, _ = _run(capsys, ["evppi", *argv, *relative, "--k", "20000"])
+        assert rc == 0
+        assert payload["evppi"]["phi"][1] == json.loads(out)["value"] > 0
+        # under the absolute cap, the estimate at k = 0 is computed: 0 as well
+        rc, out, _ = _run(capsys, ["sweep", *argv, "--k-list", "0,20000"])
+        assert rc == 0
+        assert json.loads(out)["evppi"]["phi"][0] == 0.0
+
+
+class TestLibraryEstimate:
+    """``voikit.estimate`` gives what ``voikit evppi`` prints, and breaks a
+    method rule with the CLI's words."""
+
+    @pytest.mark.parametrize("csv, params, method, flags, kwargs", [
+        pytest.param("lin_csv", "phi", "so", [], {}, id="so-auto"),
+        pytest.param("lin_csv", "phi", "so", ["--bins", "40"], {"bins": 40}, id="so-bins"),
+        pytest.param(
+            "lin_csv", "phi", "so", ["--bias-threshold-relative", "0.01"],
+            {"bias_threshold_relative": 0.01}, id="so-relative",
+        ),
+        pytest.param("lin_csv", "phi", "sad", ["--changes", "1"], {"changes": 1}, id="sad"),
+        pytest.param(
+            "toy_csv", "risk_reduction,p_infection", "gam", ["--interactions", "none"],
+            {"interactions": "none"}, id="gam",
+        ),
+        pytest.param("lin_csv", "phi", "gp", [], {}, id="gp"),
+    ])
+    def test_matches_the_evppi_command(
+        self, capsys, request, csv, params, method, flags, kwargs
+    ):
+        path = request.getfixturevalue(csv)
+        rc, out, _ = _run(capsys, [
+            "evppi", "--file", path, "--method", method, "--params", params,
+            "--bootstrap", "5", "--seed", "2", *flags,
+        ])
+        assert rc == 0
+        payload = json.loads(out)
+        del payload["subset"], payload["k"]
+        result = estimate(
+            read_psa_csv(path, k=20000.0), params.split(","), method,
+            bootstrap=5, seed=2, **kwargs,
+        )
+        assert json.loads(json.dumps(result.to_dict())) == payload
+
+    @pytest.mark.parametrize("flags, names, method, kwargs", [
+        pytest.param(["--method", "sad", "--params", "phi"], ["phi"], "sad", {},
+                     id="sad-needs-changes"),
+        pytest.param(["--method", "so", "--params", "phi,psi"], ["phi", "psi"], "so", {},
+                     id="so-one-name"),
+        pytest.param(["--method", "sad", "--params", "phi,psi", "--changes", "1"],
+                     ["phi", "psi"], "sad", {"changes": 1}, id="sad-one-name"),
+        pytest.param(["--method", "sad", "--params", "phi", "--changes", "psi=1"],
+                     ["phi"], "sad", {"changes": {"psi": 1}}, id="sad-cover"),
+    ])
+    def test_rule_message_matches_the_cli(
+        self, capsys, lin_csv, flags, names, method, kwargs
+    ):
+        rc, out, err = _run(capsys, ["evppi", "--file", lin_csv, *flags])
+        assert rc == 1
+        with pytest.raises(MethodRuleError) as info:
+            estimate(read_psa_csv(lin_csv), names, method, **kwargs)
+        assert err == f"voikit: error: {info.value}\n"
+
+    def test_relative_cap_message_matches_the_cli(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        nb0 = rng.normal(size=500)
+        sample = PsaSample(
+            ("phi",), rng.normal(size=(500, 1)), nb=np.column_stack([nb0, nb0 + 1.0])
+        )
+        path = tmp_path / "dominated.csv"
+        write_psa_csv(path, sample)
+        rc, out, err = _run(capsys, [
+            "evppi", "--file", str(path), "--method", "so", "--params", "phi",
+            "--bias-threshold-relative", "0.01",
+        ])
+        assert rc == 1
+        with pytest.raises(MethodRuleError) as info:
+            estimate(sample, ["phi"], "so", bias_threshold_relative=0.01)
+        assert err == f"voikit: error: {info.value}\n"
+        assert info.value.cell is None
+
+    @pytest.mark.parametrize("names, method, kwargs, cell", [
+        pytest.param(["phi", "psi"], "so", {}, "single-parameter method", id="so-two"),
+        pytest.param(["phi", "psi"], "SAD", {"changes": 1}, "single-parameter method",
+                     id="sad-two"),
+        pytest.param(["phi"], "sad", {}, "changes not provided", id="sad-no-count"),
+        pytest.param(["phi"], "sad", {"changes": {}}, "changes not provided",
+                     id="sad-count-missing"),
+    ])
+    def test_rule_error_carries_the_table_reason(self, lin_csv, names, method, kwargs, cell):
+        with pytest.raises(MethodRuleError) as info:
+            estimate(read_psa_csv(lin_csv), names, method, **kwargs)
+        assert isinstance(info.value, ValueError)
+        assert info.value.cell == cell
+
+    @pytest.mark.parametrize("kwargs", [
+        {"bins": 10, "bias_threshold": 0.5},
+        {"bins": 10, "bias_threshold_relative": 0.1},
+        {"bias_threshold": 0.5, "bias_threshold_relative": 0.1},
+    ], ids=["bins-absolute", "bins-relative", "absolute-relative"])
+    def test_bin_choices_exclude_each_other(self, lin_csv, kwargs):
+        with pytest.raises(ValueError, match="at most one of bins"):
+            estimate(read_psa_csv(lin_csv), ["phi"], "so", **kwargs)
+
+    def test_one_count_equals_a_count_for_the_name(self, lin_csv):
+        sample = read_psa_csv(lin_csv)
+        assert estimate(sample, ["phi"], "sad", changes=1) == estimate(
+            sample, ["phi"], "sad", changes={"phi": 1}
+        )
 
 
 class TestVistoolCommand:
@@ -1054,12 +1188,12 @@ def test_changes_parsed_once_per_command(capsys, monkeypatch, toy_csv, argv):
 
 
 def test_estimation_failure_exits_2(capsys, monkeypatch, lin_csv):
-    import voikit.cli as cli
+    import voikit.regression as regression
 
     def failing(*args, **kwargs):
         raise voikit.EstimationError("synthetic failure")
 
-    monkeypatch.setattr(cli, "sad_evppi", failing)
+    monkeypatch.setattr(regression, "sad_evppi", failing)
     rc, out, err = _run(capsys, [
         "evppi", "--file", lin_csv, "--method", "sad", "--params", "phi",
         "--changes", "1",
