@@ -26,6 +26,8 @@ TOY = ["--file", "toy.csv"]
 
 # (expected exit code, arguments)
 COMMANDS = [
+    (0, ["--help"]),
+    (0, ["evppi", "--help"]),
     (0, ["simulate", "--model", "linear-gaussian", "--sims", "2000", "--seed", "1",
          "--out", "lg.csv"]),
     (0, ["simulate", "--model", "toy", "--sims", "2000", "--seed", "3", "--out", "toy.csv"]),
@@ -52,6 +54,7 @@ COMMANDS = [
     (1, ["evppi", *LG, "--method", "sad", "--params", "phi,psi", "--changes", "1"]),
     (1, ["evppi", *LG, "--method", "sad", "--params", "phi", "--changes", "psi=1"]),
     (1, ["evppi", *LG, "--method", "sad", "--params", "nope", "--changes", "psi=1"]),
+    (1, ["compare", *LG, "--params", "phi", "--changes", "-1", "--bootstrap", "0"]),
     (1, ["sweep", *TOY, "--method", "sad", "--params", "risk_reduction;p_infection",
          "--changes", "risk_reduction=1", "--k-list", "0,20000"]),
     (1, ["evppi", "--file", "dominated.csv", "--method", "so", "--params", "phi",
@@ -115,6 +118,7 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         os.path.abspath(entry) for entry in env.get("PYTHONPATH", "").split(os.pathsep) if entry
     )
+    env["COLUMNS"] = "80"  # argparse wraps --help to this width
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         write_dominated(workdir)

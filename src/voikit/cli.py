@@ -121,62 +121,63 @@ def _load_spec(token: str):
         raise _UsageError(f"cannot parse model spec {token}: {exc}") from exc
 
 
-def _split_params(raw: str) -> list[str]:
-    names = [n.strip() for n in raw.split(",") if n.strip()]
-    if not names:
-        raise _UsageError("no parameter names given")
-    return names
-
-
-def _parse_changes(raw: str | None, param_names) -> dict[str, int]:
-    """--changes accepts a single count, which applies to every parameter
-    in ``param_names``, or name=count pairs.
-
-    A pair must name one of the sample's parameters, and at most once.
+def _parse_changes(raw: str | None) -> int | dict[str, int] | None:
+    """--changes as :func:`~voikit.regression.estimate` takes it: None, one
+    count for every parameter, or name=count pairs, each name once.  Counts
+    are at least 0; the names wait for the sample (:func:`_check_pair_names`).
     """
+    def count(text: str, malformed: str) -> int:
+        try:
+            d = int(text)
+        except ValueError:
+            raise _UsageError(malformed) from None
+        if d < 0:
+            raise _UsageError(f"--changes counts must be at least 0, got {d}")
+        return d
+
     if raw is None:
-        return {}
+        return None
     raw = raw.strip()
     if "=" not in raw:
-        try:
-            d = int(raw)
-        except ValueError:
-            raise _UsageError(f"--changes expects an integer or name=int pairs, got {raw!r}")
-        return {n: d for n in param_names}
+        return count(raw, f"--changes expects an integer or name=int pairs, got {raw!r}")
     out = {}
     for item in raw.split(","):
         name, _, val = item.partition("=")
         name = name.strip()
         if name in out:
             raise _UsageError(f"--changes gives {name!r} twice")
+        out[name] = count(val, f"bad --changes entry {item!r}")
+    return out
+
+
+def _check_pair_names(changes, param_names) -> None:
+    """Refuse a --changes pair whose name is not one of the sample's parameters."""
+    for name in changes if isinstance(changes, dict) else ():
         if name not in param_names:
             raise _UsageError(
                 f"--changes names {name!r}, which is not one of the sample's parameters; "
                 f"available: {list(param_names)}"
             )
-        try:
-            out[name] = int(val)
-        except ValueError:
-            raise _UsageError(f"bad --changes entry {item!r}")
-    return out
 
 
 def _subsets(args) -> list[list[str]]:
     """The parameter subsets of ``--params``: one for ``evppi``, one per
-    ``;``-separated chunk for ``compare`` and ``sweep``."""
+    ``;``-separated chunk for ``compare`` and ``sweep``; none may be empty."""
     chunks = [args.params] if args.command == "evppi" else args.params.split(";")
-    return [_split_params(chunk) for chunk in chunks]
+    subsets = [[n.strip() for n in chunk.split(",") if n.strip()] for chunk in chunks]
+    if not all(subsets):
+        raise _UsageError("no parameter names given")
+    return subsets
 
 
-def _estimate(sample: PsaSample, names: list[str], method: str, args, changes):
-    """The library's estimate with the flags in ``args``; ``changes`` is
-    the parsed ``--changes``."""
+def _estimate(sample: PsaSample, names: list[str], method: str, args):
+    """The library's estimate with the flags in ``args``."""
     return estimate(
         sample, names, method,
         bins=args.bins,
         bias_threshold=args.bias_threshold,
         bias_threshold_relative=args.bias_threshold_relative,
-        changes=changes,
+        changes=args.changes,
         interactions=args.interactions,
         bootstrap=args.bootstrap,
         seed=args.seed,
@@ -185,12 +186,12 @@ def _estimate(sample: PsaSample, names: list[str], method: str, args, changes):
 
 
 def cmd_evppi(args) -> int:
-    [names] = _subsets(args)
+    [names] = args.subsets
     sample = read_psa_csv(args.file, k=_wtp(args))
-    changes = _parse_changes(args.changes, sample.param_names)
-    result = _estimate(sample, names, args.method, args, changes)
+    _check_pair_names(args.changes, sample.param_names)
+    result = _estimate(sample, names, args.method, args)
     notes: list[str] = []
-    if args.method == "sad" and changes[names[0]] == 0:
+    if result.method == "SAD" and result.diagnostics["changes"] == 0:
         notes.append("parameter declared non-influential: estimate is 0")
     payload = {
         "subset": names,
@@ -203,7 +204,7 @@ def cmd_evppi(args) -> int:
     return 0
 
 
-def _compare_cell(sample, method, names, args, changes, model):
+def _compare_cell(sample, method, names, args, model):
     """One cell of the comparison.  A method that does not apply or fails
     raises.  The MC column is listed only with a model spec (``model``)."""
     if method == "MC":
@@ -214,7 +215,7 @@ def _compare_cell(sample, method, names, args, changes, model):
             n_outer=args.mc_outer, n_inner=args.mc_inner, seed=args.seed,
         )
         return est.to_dict()
-    return _estimate(sample, names, method, args, changes).to_dict()
+    return _estimate(sample, names, method, args).to_dict()
 
 
 def _format_cell(cell: dict, decimals: int) -> str:
@@ -228,24 +229,23 @@ def _format_cell(cell: dict, decimals: int) -> str:
 
 def cmd_compare(args) -> int:
     model = _load_spec(args.model) if args.model else None
-    subsets = _subsets(args)
     sample = read_psa_csv(args.file, k=_wtp(args))
     notes: list[str] = []
     k = _sample_k(args.file, sample, args, notes)
     if model is not None and args.k is not None and args.k != k:
         notes.append(f"the nested-MC column uses --k {args.k:g}")
-    for names in subsets:
+    for names in args.subsets:
         ParamSubset.from_names(names, sample.param_names)  # fail fast on unknown names
-    changes = _parse_changes(args.changes, sample.param_names)
+    _check_pair_names(args.changes, sample.param_names)
 
     methods = [m for m in METHOD_TAGS if model is not None or m != "MC"]
     rows = []
     failures: list[str] = []  # why a cell is "-" in the table
-    for names in subsets:
+    for names in args.subsets:
         cells = {}
         for m in methods:
             try:
-                cells[m] = _compare_cell(sample, m, names, args, changes, model)
+                cells[m] = _compare_cell(sample, m, names, args, model)
             except (ValueError, EstimationError) as exc:
                 reason = getattr(exc, "cell", None)  # the method does not apply
                 if reason is None:
@@ -294,6 +294,7 @@ def _k_grid(args) -> np.ndarray:
             raise _UsageError("--k-grid expects min:max:step")
         if step <= 0 or hi < lo:
             raise _UsageError("--k-grid expects min <= max and step > 0")
+        # empty when half a step rounds away next to hi, as in 1e16:1e16:1
         grid = np.arange(lo, hi + 0.5 * step, step)
     if grid.size < 1 or np.any(~np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
         raise _UsageError("willingness-to-pay grid must be finite and strictly increasing")
@@ -304,7 +305,6 @@ def _k_grid(args) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.model) if args.model else None
-    subsets = _subsets(args)
     grid = _k_grid(args)
     if spec is not None:
         sims = 10_000 if args.sims is None else args.sims
@@ -321,18 +321,18 @@ def cmd_sweep(args) -> int:
             "sweep needs the effect/cost decomposition: an nb-only input fixes k, "
             "so net benefit cannot be rebuilt across the grid"
         )
-    changes = _parse_changes(args.changes, sample.param_names)
-    for names in subsets:
-        check_method(args.method, names, changes, sample)
+    _check_pair_names(args.changes, sample.param_names)
+    for names in args.subsets:
+        check_method(args.method, names, args.changes, sample)
 
     evpi_curve = []
-    evppi_curves: dict[str, list[float]] = {",".join(n): [] for n in subsets}
+    evppi_curves: dict[str, list[float]] = {",".join(n): [] for n in args.subsets}
     for k in grid:
         at_k = sample.at_wtp(float(k))
         evpi_curve.append(evpi(at_k.nb))
-        for names in subsets:
+        for names in args.subsets:
             try:
-                value = _estimate(at_k, names, args.method, args, changes).value
+                value = _estimate(at_k, names, args.method, args).value
             except MethodRuleError:
                 # past the check above, the one rule left to break is SO's
                 # relative cap, undefined where the EVPI is 0.  Every SO bin
@@ -419,7 +419,7 @@ def _add_bootstrap(p, default):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="voikit", description=__doc__)
+    parser = _Parser(prog="voikit", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evppi", help="estimate EVPPI for one parameter subset")
@@ -483,8 +483,9 @@ def build_parser() -> _Parser:
 
 def _check_flags(args) -> None:
     """Reject a flag that cannot mean what was asked, before any work: a
-    count or fraction out of range, and the rules of ``--method`` that need
-    no sample."""
+    count or fraction out of range, a malformed ``--params`` or
+    ``--changes``, and the rules of ``--method`` that need no sample.  Those
+    two are parsed once, here, into ``args.subsets`` and ``args.changes``."""
     if getattr(args, "file", None) is not None and getattr(args, "sims", None) is not None:
         raise _UsageError("--sims applies only with --model; --file fixes the sample")
     bootstrap = getattr(args, "bootstrap", 0)
@@ -509,10 +510,11 @@ def _check_flags(args) -> None:
     k = getattr(args, "k", None)
     if k is not None and not (k >= 0 and math.isfinite(k)):
         raise _UsageError(f"--k must be finite and >= 0, got {k}")
-    method = getattr(args, "method", None)
-    if method is not None:
-        for names in _subsets(args):
-            check_method(method, names, args.changes)
+    if hasattr(args, "params"):  # evppi, compare and sweep
+        args.subsets = _subsets(args)
+        args.changes = _parse_changes(args.changes)
+        for names in args.subsets if hasattr(args, "method") else ():
+            check_method(args.method, names, args.changes)
 
 
 def main(argv=None) -> int:

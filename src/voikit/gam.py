@@ -59,14 +59,6 @@ _N_GRID = 321
 
 _GAUSS_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
-def _quantile_breakpoints(x: np.ndarray, n_breakpoints: int) -> np.ndarray:
-    bp = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_breakpoints)))
-    if bp.size < 2:
-        raise ValueError(
-            "parameter column is constant; the spline design is rank-deficient"
-        )
-    return bp
-
 
 @dataclass(frozen=True)
 class _Basis:
@@ -75,7 +67,8 @@ class _Basis:
 
     @classmethod
     def from_data(cls, x: np.ndarray, n_breakpoints: int) -> "_Basis":
-        bp = _quantile_breakpoints(x, n_breakpoints)
+        # at least two: the columns fitted on are never constant, so min < max
+        bp = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_breakpoints)))
         knots = np.concatenate([[bp[0]] * _DEGREE, bp, [bp[-1]] * _DEGREE])
         return cls(knots=knots, n_funcs=len(knots) - _DEGREE - 1)
 

@@ -33,9 +33,10 @@ the noise model, up to that floor.  The fit then makes two passes over
 the rows in blocks of ``psa._CHUNK_ROWS``: one sums the projected
 cross-covariances, the other predicts, so memory stays bounded in S.
 
-The marginal-likelihood objective is evaluated a few hundred times per
-fit, so it reuses preallocated buffers and in-place LAPACK calls instead
-of building fresh kernel matrices each step.
+A fit evaluates the marginal likelihood at most about 160 times, and
+usually 30 to 60: each level stops once it has used 80 (``maxfun``),
+after the iteration in progress.  The objective reuses preallocated
+buffers and in-place LAPACK calls, not fresh kernel matrices.
 
 scipy is imported inside the functions that call it, so importing voikit
 (and running a command that fits no GP) does not load it.  A fit imports

@@ -131,7 +131,7 @@ class _ParamOrders:
         return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsaSample:
     """Paired parameter draws and net-benefit draws from one PSA run.
 
@@ -143,7 +143,7 @@ class PsaSample:
     this one (:meth:`take`, :meth:`at_wtp`) share or gather its frozen
     arrays without a second check or copy.  No operation mutates an array.
     The stable sort order of each parameter column is computed on first use
-    and kept (:meth:`param_order`).
+    and kept (:meth:`param_order`).  Samples compare and hash by identity.
     """
 
     param_names: tuple[str, ...]
@@ -153,8 +153,8 @@ class PsaSample:
     costs: np.ndarray | None = None
     k: float | None = None
     treatment_names: tuple[str, ...] | None = None
-    _orders: _ParamOrders = field(init=False, repr=False, compare=False)
-    _source: tuple[PsaSample, np.ndarray] | None = field(init=False, repr=False, compare=False)
+    _orders: _ParamOrders = field(init=False, repr=False)
+    _source: tuple[PsaSample, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         params = _as_matrix(self.params, "params")
@@ -177,6 +177,8 @@ class PsaSample:
         object.__setattr__(self, "_orders", _ParamOrders(self.params))
         object.__setattr__(self, "_source", None)
 
+        if self.k is not None:
+            object.__setattr__(self, "k", _wtp_value(self.k))
         if (self.effects is None) != (self.costs is None):
             raise ValueError("effects and costs must be supplied together")
         if self.effects is not None:
@@ -186,14 +188,12 @@ class PsaSample:
                 raise ValueError("effects/costs shape must match nb")
             if self.k is None:
                 raise ValueError("k must be stored when effects and costs are kept")
-            k = _wtp_value(self.k)
-            rebuilt = k * effects - costs
+            rebuilt = self.k * effects - costs
             scale = max(float(np.max(np.abs(nb))), 1.0)
             if not np.allclose(nb, rebuilt, rtol=1e-9, atol=1e-9 * scale):
                 raise ValueError("nb is inconsistent with k*effects - costs")
             object.__setattr__(self, "effects", _frozen(effects))
             object.__setattr__(self, "costs", _frozen(costs))
-            object.__setattr__(self, "k", k)
         if self.treatment_names is not None:
             if len(self.treatment_names) != nb.shape[1]:
                 raise ValueError("treatment_names length must match nb columns")
@@ -228,12 +228,8 @@ class PsaSample:
         return self._orders.get(p)
 
     def param_index(self, name: str) -> int:
-        try:
-            return self.param_names.index(name)
-        except ValueError:
-            raise ValueError(
-                f"unknown parameter {name!r}; available: {list(self.param_names)}"
-            ) from None
+        """Column of the parameter ``name``, by :meth:`ParamSubset.from_names`."""
+        return ParamSubset.from_names([name], self.param_names).indices[0]
 
     def take(self, rows: np.ndarray) -> "PsaSample":
         """Row-subset (or resampled) copy, used by the bootstrap.

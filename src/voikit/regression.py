@@ -301,15 +301,18 @@ class MethodRuleError(ValueError):
         self.cell = cell
 
 
-def check_method(method: str, names, changes=None, sample: PsaSample | None = None) -> None:
+def check_method(
+    method: str, names, changes=None, sample: PsaSample | None = None
+) -> ParamSubset | None:
     """Raise :class:`MethodRuleError` unless ``method`` (so, sad, gam or gp)
     can estimate the parameters ``names`` with the change counts
     ``changes``, as :func:`estimate` takes them.
 
     Without a ``sample`` only the rules that need none are checked, and of
     ``changes`` only whether it is None: sad needs counts, and so and sad
-    take one name.  With a sample, sad's name is also looked up in it (an
-    unknown name is reported as such) and must have a count.
+    take one name.  With a sample, the names are also looked up in it
+    (:meth:`~voikit.psa.ParamSubset.from_names`), sad's name must have a
+    count, and their subset is returned.
     """
     method = method.lower()
     if method == "sad" and changes is None:
@@ -323,12 +326,12 @@ def check_method(method: str, names, changes=None, sample: PsaSample | None = No
             f"method {method} handles a single parameter only, got {len(names)}",
             "single-parameter method",
         )
-    if method == "sad" and sample is not None:
-        sample.param_index(names[0])
-        if isinstance(changes, Mapping) and names[0] not in changes:
-            raise MethodRuleError(
-                f"--changes does not cover parameter {names[0]!r}", _NO_COUNT
-            )
+    if sample is None:
+        return None
+    subset = ParamSubset.from_names(names, sample.param_names)
+    if method == "sad" and isinstance(changes, Mapping) and names[0] not in changes:
+        raise MethodRuleError(f"--changes does not cover parameter {names[0]!r}", _NO_COUNT)
+    return subset
 
 
 def estimate(
@@ -362,13 +365,15 @@ def estimate(
     * ``interactions``: GAM's interaction structure, "auto", "none" or
       "pairwise".
     * ``bootstrap``: replicates for a standard error, 0 for none.
-    * ``seed``: seeds SO's bias search, GP's subsample and the bootstrap.
-    * ``threads``: worker threads for the bootstrap replicates.
+    * ``seed``: seeds SO's bias search, GP's subsample and the bootstrap;
+      at least 0.
+    * ``threads``: worker threads for the bootstrap replicates; at least 1.
 
     A method rule that ``names``, ``changes`` or the sample breaks
     (:func:`check_method`; and SO's relative cap on a sample whose EVPI is
     0) raises :class:`MethodRuleError`, with the CLI's message.  An unknown
-    name or method, or arguments that exclude each other, raise
+    or repeated name or an unknown method, a seed or thread count out of
+    range (in the CLI's words), or arguments that exclude each other raise
     ``ValueError``; an estimator that fails raises ``EstimationError``.
     """
     method = method.lower()
@@ -380,19 +385,21 @@ def estimate(
         )
     if sum(x is not None for x in (bins, bias_threshold, bias_threshold_relative)) > 1:
         raise ValueError("give at most one of bins, bias_threshold and bias_threshold_relative")
-    check_method(method, names, changes, sample)
+    for flag, value, floor in (("threads", threads, 1), ("seed", seed, 0)):
+        if value < floor:
+            raise ValueError(f"--{flag} must be at least {floor}, got {value}")
+    subset = check_method(method, names, changes, sample)
     config = BootstrapConfig(n_replicates=bootstrap, seed=seed) if bootstrap else None
 
-    if method in ("gam", "gp"):
-        subset = ParamSubset.from_names(names, sample.param_names)
-        if method == "gp":
-            return gp_evppi(sample, subset, seed=seed, bootstrap=config, n_threads=threads)
+    if method == "gp":
+        return gp_evppi(sample, subset, seed=seed, bootstrap=config, n_threads=threads)
+    if method == "gam":
         return gam_evppi(
             sample, subset, interactions=_INTERACTIONS[interactions],
             bootstrap=config, n_threads=threads,
         )
 
-    p = sample.param_index(names[0])
+    [p] = subset.indices
     if method == "sad":
         d = changes[names[0]] if isinstance(changes, Mapping) else changes
         return with_bootstrap(

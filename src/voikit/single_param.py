@@ -60,7 +60,7 @@ class _OneRowBin(ValueError):
     """A bin of one row, which has no within-bin variance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CumsumCurve:
     """Plot-ready cumulative incremental net benefit along a parameter.
 

@@ -563,13 +563,26 @@ class TestLibraryEstimate:
                      ["phi", "psi"], "sad", {"changes": 1}, id="sad-one-name"),
         pytest.param(["--method", "sad", "--params", "phi", "--changes", "psi=1"],
                      ["phi"], "sad", {"changes": {"psi": 1}}, id="sad-cover"),
+        # a worker count or seed out of range, refused by every method
+        *(
+            pytest.param(
+                ["--method", method, "--params", "phi", "--bootstrap", "4", flag, value],
+                ["phi"], method, {"bootstrap": 4, flag[2:]: int(value)},
+                id=f"{method}{flag}={value}",
+            )
+            for method in ("so", "gam", "gp")
+            for flag, value in (("--threads", "0"), ("--threads", "-3"), ("--seed", "-1"))
+        ),
     ])
     def test_rule_message_matches_the_cli(
         self, capsys, lin_csv, flags, names, method, kwargs
     ):
         rc, out, err = _run(capsys, ["evppi", "--file", lin_csv, *flags])
         assert rc == 1
-        with pytest.raises(MethodRuleError) as info:
+        # a range error is a ValueError, a method rule the MethodRuleError
+        # subclass of it
+        rule = ValueError if {"--threads", "--seed"} & set(flags) else MethodRuleError
+        with pytest.raises(rule) as info:
             estimate(read_psa_csv(lin_csv), names, method, **kwargs)
         assert err == f"voikit: error: {info.value}\n"
 
@@ -613,6 +626,33 @@ class TestLibraryEstimate:
     def test_bin_choices_exclude_each_other(self, lin_csv, kwargs):
         with pytest.raises(ValueError, match="at most one of bins"):
             estimate(read_psa_csv(lin_csv), ["phi"], "so", **kwargs)
+
+    @pytest.mark.parametrize("method, kwargs", [
+        ("so", {}), ("sad", {"changes": 1}), ("gam", {}), ("gp", {}),
+        ("so", {"bootstrap": 3}), ("sad", {"changes": {"phi": 1}, "bootstrap": 3}),
+    ])
+    def test_names_are_looked_up_once(self, monkeypatch, lin_csv, method, kwargs):
+        from voikit.psa import ParamSubset
+
+        sample = read_psa_csv(lin_csv)
+        calls = []
+        lookup = ParamSubset.from_names.__func__
+
+        def counting(cls, names, param_names):
+            calls.append(list(names))
+            return lookup(cls, names, param_names)
+
+        monkeypatch.setattr(ParamSubset, "from_names", classmethod(counting))
+        estimate(sample, ["phi"], method, **kwargs)
+        assert calls == [["phi"]]
+
+    @pytest.mark.parametrize("method, kwargs", [
+        ("so", {}), ("sad", {"changes": 1}), ("gam", {}), ("gp", {}),
+    ])
+    def test_unknown_name_reads_the_same_from_every_method(self, lin_csv, method, kwargs):
+        with pytest.raises(ValueError) as info:
+            estimate(read_psa_csv(lin_csv), ["bogus"], method, **kwargs)
+        assert str(info.value) == "unknown parameter name(s) ['bogus']; available: ['phi', 'psi']"
 
     def test_one_count_equals_a_count_for_the_name(self, lin_csv):
         sample = read_psa_csv(lin_csv)
@@ -941,6 +981,45 @@ class TestUsageErrors:
             ["sweep", "--model", "toy", "--params", "risk_reduction", "--sims", "1"],
             "--sims must be at least 2, got 1", id="sweep-sims",
         ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "sad", "--params", "phi",
+             "--changes", "abc"],
+            "--changes expects an integer or name=int pairs, got 'abc'", id="changes-abc",
+        ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "sad", "--params", "phi",
+             "--changes", "phi=x"],
+            "bad --changes entry 'phi=x'", id="changes-pair-x",
+        ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "sad", "--params", "phi",
+             "--changes", "-1"],
+            "--changes counts must be at least 0, got -1", id="changes-negative",
+        ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "sad", "--params", "phi",
+             "--changes", "phi=1,phi=2"],
+            "--changes gives 'phi' twice", id="changes-twice",
+        ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "so", "--params", "phi",
+             "--changes", "-1"],
+            "--changes counts must be at least 0, got -1", id="changes-negative-so",
+        ),
+        pytest.param(
+            ["compare", "--file", "psa.csv", "--params", "phi", "--changes", "psi=2,phi=-1"],
+            "--changes counts must be at least 0, got -1", id="compare-changes-negative",
+        ),
+        pytest.param(
+            ["sweep", "--model", "toy", "--method", "sad", "--params", "risk_reduction",
+             "--changes", "risk_reduction=-2"],
+            "--changes counts must be at least 0, got -2", id="sweep-changes-negative",
+        ),
+        pytest.param(
+            ["evppi", "--file", "psa.csv", "--method", "sad", "--params", "phi",
+             "--changes", "bogus=y"],
+            "bad --changes entry 'bogus=y'", id="changes-syntax-before-name",
+        ),
     ])
     def test_flag_rule_rejected_before_any_sample(self, capsys, monkeypatch, argv, message):
         import voikit.cli as cli
@@ -1113,6 +1192,11 @@ class TestUsageErrors:
             "--k-grid expects min:max:step",
             id="k-grid-two-fields",
         ),
+        pytest.param(
+            ["sweep", "--params", "phi", "--k-grid", "1e16:1e16:1"],
+            "willingness-to-pay grid must be finite and strictly increasing",
+            id="k-grid-rounds-to-no-point",
+        ),
     ])
     def test_bad_flag_value_is_a_usage_error(self, capsys, lin_csv, argv, message):
         rc, out, err = _run(capsys, argv[:1] + ["--file", lin_csv] + argv[1:])
@@ -1185,6 +1269,75 @@ def test_changes_parsed_once_per_command(capsys, monkeypatch, toy_csv, argv):
     rc, _, _ = _run(capsys, [*argv, "--file", toy_csv, "--changes", "1"])
     assert rc == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["evppi", "--method", "sad", "--params", "risk_reduction"], id="evppi"),
+    pytest.param(["compare", "--params", "risk_reduction;p_infection", "--bootstrap", "0"],
+                 id="compare"),
+    pytest.param(["sweep", "--method", "sad", "--params", "risk_reduction",
+                  "--k-list", "10000,20000"], id="sweep"),
+])
+@pytest.mark.parametrize("flag, changes", [
+    ([], None), (["--changes", "1"], 1), (["--changes", "risk_reduction=2"],
+                                          {"risk_reduction": 2}),
+], ids=["none", "count", "pair"])
+def test_changes_reach_estimate_as_given(capsys, monkeypatch, toy_csv, argv, flag, changes):
+    import voikit.cli as cli
+
+    seen = []
+    real = cli.estimate
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["changes"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate", recording)
+    rc, _, _ = _run(capsys, [*argv, "--file", toy_csv, *flag])
+    if argv[0] != "compare" and changes is None:  # sad needs a count
+        assert (rc, seen) == (1, [])
+        return
+    assert rc == 0
+    assert seen and all(type(c) is type(changes) and c == changes for c in seen)
+
+
+@pytest.mark.parametrize("argv", [
+    *(
+        pytest.param(["evppi", "--method", m, "--params", "bogus", "--changes", "1"],
+                     id=f"evppi-{m}")
+        for m in ("so", "sad", "gam", "gp")
+    ),
+    pytest.param(["vistool", "--param", "bogus"], id="vistool"),
+    pytest.param(["compare", "--params", "phi;bogus", "--bootstrap", "0"], id="compare"),
+    pytest.param(["sweep", "--method", "so", "--params", "bogus", "--k-list", "0,1"],
+                 id="sweep"),
+])
+def test_unknown_name_reads_the_same_everywhere(capsys, tmp_path, lin_csv, argv):
+    path = lin_csv
+    if argv[0] == "sweep":  # a sweep needs effects and costs
+        rng = np.random.default_rng(0)
+        effects, costs = rng.uniform(size=(50, 2)), rng.uniform(0, 100, size=(50, 2))
+        path = str(tmp_path / "priced.csv")
+        write_psa_csv(path, PsaSample(
+            ("phi", "psi"), rng.normal(size=(50, 2)), nb=build_nb(effects, costs, 20000.0),
+            effects=effects, costs=costs, k=20000.0,
+        ))
+    rc, out, err = _run(capsys, [argv[0], "--file", path, *argv[1:]])
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "voikit: error: unknown parameter name(s) ['bogus']; available: ['phi', 'psi']\n"
+    )
+
+
+def test_help_gives_the_summary_without_the_developer_notes(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: voikit")
+    assert "Command-line front end" in out
+    assert "OPENBLAS_NUM_THREADS" not in out
 
 
 def test_estimation_failure_exits_2(capsys, monkeypatch, lin_csv):

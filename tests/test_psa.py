@@ -243,8 +243,27 @@ class TestPsaSample:
 
     def test_param_index(self, lin_sample):
         assert lin_sample.param_index("psi") == 1
-        with pytest.raises(ValueError, match="unknown parameter"):
+        with pytest.raises(ValueError, match="unknown parameter") as by_index:
             lin_sample.param_index("nope")
+        with pytest.raises(ValueError) as by_names:
+            ParamSubset.from_names(["nope"], lin_sample.param_names)
+        assert str(by_index.value) == str(by_names.value)
+
+    def test_samples_compare_and_hash_by_identity(self, lin_sample):
+        twin = lin_sample.take(np.arange(lin_sample.n_sims))
+        assert np.array_equal(twin.params, lin_sample.params)
+        assert lin_sample == lin_sample
+        assert lin_sample != twin
+        assert len({lin_sample, twin, lin_sample}) == 2
+
+    @pytest.mark.parametrize("k", [-5.0, math.nan, math.inf])
+    def test_nb_only_sample_refuses_a_bad_k(self, k):
+        with pytest.raises(ValueError, match="willingness to pay must be finite and >= 0"):
+            PsaSample(("x",), np.zeros((3, 1)), nb=np.zeros((3, 2)), k=k)
+
+    def test_nb_only_sample_stores_k_as_a_float(self):
+        sample = PsaSample(("x",), np.zeros((3, 1)), nb=np.zeros((3, 2)), k=3)
+        assert type(sample.k) is float and sample.k == 3.0
 
 
 def _priced_sample():

@@ -946,6 +946,13 @@ class TestCumsumCurve:
         with pytest.raises(ValueError, match="differ"):
             cumsum_curve(lin_sample, 0, 1, 1)
 
+    def test_curves_compare_and_hash_by_identity(self, lin_sample):
+        a = cumsum_curve(lin_sample, 0, 1, 0)
+        b = cumsum_curve(lin_sample, 0, 1, 0)
+        assert np.array_equal(a.values, b.values)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     def test_curve_type_validates(self):
         with pytest.raises(ValueError, match="start at zero"):
             CumsumCurve(phi=np.array([1.0, 2.0]), values=np.array([0.5, 1.0]))
