@@ -114,21 +114,70 @@ class ParamSubset:
 class _ParamOrders:
     """Stable sort order of each parameter column, computed at first use and
     kept; a lock makes it one sort per column even when threads share the
-    sample."""
+    sample.  Samples with the same ``params`` array share one."""
 
-    def __init__(self, params: np.ndarray):
-        self._params = params
+    def __init__(self):
         self._orders: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
-    def get(self, p: int) -> np.ndarray:
+    def get(self, p: int, params: np.ndarray) -> np.ndarray:
         with self._lock:
             order = self._orders.get(p)
             if order is None:
-                order = np.argsort(self._params[:, p], kind="stable")
+                order = np.argsort(params[:, p], kind="stable")
                 order.flags.writeable = False
                 self._orders[p] = order
         return order
+
+
+class _Rows:
+    """The rows of ``parent`` that a sample from :meth:`PsaSample.take`
+    holds, as an index array or as each row's count, and the gather of its
+    arrays from them.
+
+    Each array is gathered once, on first read, into the sample's instance
+    dictionary, where every later read finds it; the index array of a
+    count vector is built once, at the first gather.  A lock makes it one
+    gather per array even when threads share the sample.  The object holds
+    no reference to its sample, so a sample is freed without the cyclic
+    collector.
+    """
+
+    def __init__(self, parent: PsaSample, n_rows: int, index=None, counts=None):
+        self.parent = parent
+        self.n_rows = n_rows
+        self.index = index
+        self.counts = counts
+        self._lock = threading.Lock()
+
+    def gather(self, sample: PsaSample, name: str) -> np.ndarray:
+        fields = vars(sample)
+        with self._lock:
+            if name not in fields:
+                if self.index is None:
+                    self.index = np.repeat(np.arange(self.counts.size), self.counts)
+                out = np.take(getattr(self.parent, name), self.index, axis=0)
+                out.flags.writeable = False
+                fields[name] = out
+        return fields[name]
+
+
+class _GatheredOnRead:
+    """A sample array that a sample from :meth:`PsaSample.take` gathers
+    from its parent on first read (:class:`_Rows`).
+
+    It only has ``__get__``, so an array in the instance dictionary (every
+    array of any other sample, and a gathered one) is found first and this
+    runs only for an array not gathered yet.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __get__(self, sample, owner=None):
+        if sample is None:
+            return self
+        return sample._rows.gather(sample, self._name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +190,10 @@ class PsaSample:
     benefit can be rebuilt at any other threshold without re-simulation.
     Inputs are validated and copied once, here; the samples derived from
     this one (:meth:`take`, :meth:`at_wtp`) share or gather its frozen
-    arrays without a second check or copy.  No operation mutates an array.
-    The stable sort order of each parameter column is computed on first use
-    and kept (:meth:`param_order`).  Samples compare and hash by identity.
+    arrays without a second check or copy, a sample from :meth:`take` each
+    array on its first read.  No operation mutates an array.  The stable
+    sort order of each parameter column is computed on first use and kept
+    (:meth:`param_order`).  Samples compare and hash by identity.
     """
 
     param_names: tuple[str, ...]
@@ -155,6 +205,7 @@ class PsaSample:
     treatment_names: tuple[str, ...] | None = None
     _orders: _ParamOrders = field(init=False, repr=False)
     _source: tuple[PsaSample, np.ndarray] | None = field(init=False, repr=False)
+    _rows: _Rows | None = field(init=False, repr=False)
 
     def __post_init__(self):
         params = _as_matrix(self.params, "params")
@@ -174,8 +225,9 @@ class PsaSample:
         object.__setattr__(self, "param_names", tuple(str(n) for n in self.param_names))
         object.__setattr__(self, "params", _frozen(params))
         object.__setattr__(self, "nb", _frozen(nb))
-        object.__setattr__(self, "_orders", _ParamOrders(self.params))
+        object.__setattr__(self, "_orders", _ParamOrders())
         object.__setattr__(self, "_source", None)
+        object.__setattr__(self, "_rows", None)
 
         if self.k is not None:
             object.__setattr__(self, "k", _wtp_value(self.k))
@@ -201,17 +253,19 @@ class PsaSample:
                 self, "treatment_names", tuple(str(n) for n in self.treatment_names)
             )
 
+    # a sample from take answers these without gathering an array
+
     @property
     def n_sims(self) -> int:
-        return self.params.shape[0]
+        return self.params.shape[0] if self._rows is None else self._rows.n_rows
 
     @property
     def n_params(self) -> int:
-        return self.params.shape[1]
+        return len(self.param_names)
 
     @property
     def n_treatments(self) -> int:
-        return self.nb.shape[1]
+        return self.nb.shape[1] if self._rows is None else self._rows.parent.n_treatments
 
     def param_column(self, p: int) -> np.ndarray:
         if not 0 <= p < self.n_params:
@@ -225,36 +279,61 @@ class PsaSample:
         computed once per column and shared by every caller.
         """
         self.param_column(p)
-        return self._orders.get(p)
+        return self._orders.get(p, self.params)
 
     def param_index(self, name: str) -> int:
         """Column of the parameter ``name``, by :meth:`ParamSubset.from_names`."""
         return ParamSubset.from_names([name], self.param_names).indices[0]
 
-    def take(self, rows: np.ndarray) -> "PsaSample":
+    def take(self, rows: np.ndarray | None = None, *,
+             counts: np.ndarray | None = None) -> "PsaSample":
         """Row-subset (or resampled) copy, used by the bootstrap.
 
-        ``rows`` is a 1-D integer array of at least 2 indices in [-S, S).
-        When they are nonnegative and nondecreasing (a bootstrap replicate)
-        the copy keeps this sample and each row's count as its source: the
-        copy's stable order of a column is this sample's with each row
-        repeated by its count, which single-parameter estimates read.
+        Give exactly one of ``rows``, a 1-D integer array of at least 2
+        indices in [-S, S), and ``counts``, a 1-D integer array of S
+        nonnegative counts totalling at least 2: the copy of a count vector
+        holds row i ``counts[i]`` times, in row-index order (a bootstrap
+        replicate).  The copy's arrays are gathered from this sample on
+        their first read, each once; one never read is never gathered.
+        When ``rows`` are nonnegative and nondecreasing, and always for
+        ``counts``, the copy keeps this sample and each row's count as its
+        source: the copy's stable order of a column is this sample's with
+        each row repeated by its count, which single-parameter estimates
+        read instead of any array of the copy.
         """
-        rows, n = np.asarray(rows), self.n_sims
-        if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size < 2:
-            raise ValueError(f"rows must be a 1-D integer array of at least 2 "
-                             f"indices, got dtype {rows.dtype}, shape {rows.shape}")
-        if rows.min() < -n or rows.max() >= n:
-            raise ValueError(f"rows out of range for {n} simulation rows")
-
-        def gather(a):
-            return None if a is None else np.take(a, rows, axis=0)
-
-        source = None
-        if rows[0] >= 0 and np.all(rows[1:] >= rows[:-1]):
-            source = (self, np.bincount(rows, minlength=n))
-        return self._derive(gather(self.params), gather(self.nb), gather(self.effects),
-                            gather(self.costs), self.k, source)
+        n = self.n_sims
+        if (rows is None) == (counts is None):
+            raise ValueError("give exactly one of rows and counts")
+        if counts is not None:
+            counts = np.asarray(counts)
+            if counts.ndim != 1:
+                raise ValueError(f"counts must be 1-D, got shape {counts.shape}")
+            if counts.dtype.kind not in "iu":
+                raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+            if counts.size != n:
+                raise ValueError(f"counts has {counts.size} entries for {n} simulation rows")
+            if counts.min() < 0:
+                raise ValueError("counts must not be negative")
+            counts = counts.astype(np.intp)  # a copy, read by the source and the gather
+            n_rows = int(counts.sum())
+            if n_rows < 2:
+                raise ValueError(f"counts total {n_rows}; need at least 2 rows")
+        else:
+            rows = np.array(rows)  # a copy, since the gather comes later
+            if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size < 2:
+                raise ValueError(f"rows must be a 1-D integer array of at least 2 "
+                                 f"indices, got dtype {rows.dtype}, shape {rows.shape}")
+            if rows.min() < -n or rows.max() >= n:
+                raise ValueError(f"rows out of range for {n} simulation rows")
+            n_rows = rows.size
+            if rows[0] >= 0 and np.all(rows[1:] >= rows[:-1]):
+                counts = np.bincount(rows, minlength=n)
+        # a copy of a sample without effects and costs has none to gather;
+        # the test reads no pending array of a sample from take
+        unpriced = "effects" in vars(self) and self.effects is None
+        arrays = {"effects": None, "costs": None} if unpriced else {}
+        return self._derive(self.k, _ParamOrders(), None if counts is None else (self, counts),
+                            _Rows(self, n_rows, rows, counts), **arrays)
 
     def at_wtp(self, k) -> "PsaSample":
         """Rebuild the sample at a different willingness to pay.
@@ -267,30 +346,39 @@ class PsaSample:
                 "needs the effect and cost matrices"
             )
         k = _wtp_value(k)
-        return self._derive(self.params, k * self.effects - self.costs, self.effects,
-                            self.costs, k)
+        return self._derive(k, self._orders, params=self.params,
+                            nb=k * self.effects - self.costs, effects=self.effects,
+                            costs=self.costs)
 
     def _with_nb(self, nb: np.ndarray) -> "PsaSample":
         """The same parameter draws with net benefit ``nb`` (S x T) and no
         effect or cost matrices; ``nb`` is taken over and frozen."""
-        return self._derive(self.params, nb, None, None, self.k)
+        return self._derive(self.k, self._orders, params=self.params, nb=nb,
+                            effects=None, costs=None)
 
-    def _derive(self, params, nb, effects, costs, k, source=None) -> "PsaSample":
-        """A sample built from this one's validated arrays: no check, no copy;
-        the arrays are marked read-only, the names carry over, and the
-        parameter orders too when ``params`` does.  Only :meth:`take` has a
-        ``source``, the sample whose rows it gathers with their counts."""
-        orders = self._orders if params is self.params else _ParamOrders(params)
-        for a in (params, nb, effects, costs):
+    def _derive(self, k, orders, source=None, rows=None, **arrays) -> "PsaSample":
+        """A sample built from this one's validated ``arrays`` (params, nb,
+        effects, costs): no check, no copy; the arrays are marked read-only
+        and the names carry over.  A sample from :meth:`take` passes its
+        source and rows and leaves out each array it gathers on first
+        read."""
+        for a in arrays.values():
             if a is not None:
                 a.flags.writeable = False
         out = object.__new__(PsaSample)
         vars(out).update(
-            param_names=self.param_names, params=params, nb=nb, effects=effects,
-            costs=costs, k=k, treatment_names=self.treatment_names, _orders=orders,
-            _source=source,
+            param_names=self.param_names, k=k, treatment_names=self.treatment_names,
+            _orders=orders, _source=source, _rows=rows, **arrays,
         )
         return out
+
+
+# the arrays a sample from take gathers on first read; these replace the
+# class attributes dataclass set to the defaults of effects and costs (its
+# __init__ keeps its own copy of the defaults)
+for _name in ("params", "nb", "effects", "costs"):
+    setattr(PsaSample, _name, _GatheredOnRead(_name))
+del _name
 
 
 # Rows handled at once by the passes that must not hold S rows of working

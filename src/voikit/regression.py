@@ -132,8 +132,11 @@ def bootstrap_estimates(
 
     Each replicate's resampling indices come from a generator seeded with
     (seed, replicate index), so results are identical at any thread count.
-    The estimator sees the drawn rows in row-index order (only their counts
-    matter), which lets the single-parameter estimators read the sample's
+    A replicate is the count vector of its draw over the sample's rows
+    (``sample.take(counts=...)``): the estimator sees the drawn rows in
+    row-index order (only their counts matter), and the replicate gathers
+    each array from the sample on first read, so an estimator that reads
+    none gathers none.  The single-parameter estimators read the sample's
     rank order, repeated by count, instead of sorting the replicate.
     A replicate where the estimator fails numerically (one of
     ``REPLICATE_FAILURES``) is skipped; any other exception is a bug and
@@ -149,9 +152,8 @@ def bootstrap_estimates(
         rng = np.random.default_rng([config.seed, b])
         n = sample.n_sims
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        rows = np.repeat(np.arange(n), counts)  # the draw in row-index order
         try:
-            out = estimator(sample.take(rows))
+            out = estimator(sample.take(counts=counts))
         except REPLICATE_FAILURES as exc:
             return exc
         return float(out.value) if isinstance(out, EvppiEstimate) else float(out)

@@ -119,8 +119,11 @@ def _phi_diagnostics(tied: np.ndarray) -> dict:
 def _ranked(sample: PsaSample, p: int):
     """What every single-parameter estimate starts from: column p sorted,
     its tie mask (``tied[j]`` says ranks j and j+1 hold equal values), and
-    the net benefit in rank order, a fresh array.  A bootstrap replicate
-    gathers both from its parent (:meth:`PsaSample.take`)."""
+    the net benefit in rank order, a fresh array.  A bootstrap replicate is
+    a count vector over its parent (:meth:`PsaSample.take`), whose arrays
+    it would gather on first read; this reads none of them, but gathers
+    both in rank order straight from the parent's arrays, by the parent's
+    cached order with each row repeated by its count."""
     if sample._source is None:
         base, rows = sample, order_by_param(sample, p)
     else:

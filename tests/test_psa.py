@@ -362,6 +362,25 @@ class TestDerivedSamples:
         with pytest.raises(ValueError, match=message):
             PRICED.take(rows)
 
+    @pytest.mark.parametrize("counts, message", [
+        pytest.param(np.ones((30, 1), dtype=int), "must be 1-D", id="2-D"),
+        pytest.param(np.ones(30), "must be integers", id="float"),
+        pytest.param(np.ones(30, dtype=bool), "must be integers", id="bool"),
+        pytest.param(np.ones(29, dtype=int), "29 entries for 30", id="short"),
+        pytest.param(np.ones(31, dtype=int), "31 entries for 30", id="long"),
+        pytest.param(np.r_[-1, np.ones(29, dtype=int)], "not be negative", id="negative"),
+        pytest.param(np.eye(1, 30, 4, dtype=int)[0], "total 1", id="one row"),
+        pytest.param(np.zeros(30, dtype=int), "total 0", id="no row"),
+    ])
+    def test_take_rejects_bad_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            PRICED.take(counts=counts)
+
+    def test_take_needs_rows_or_counts_not_both(self):
+        for kwargs in ({}, {"rows": np.arange(3), "counts": np.ones(30, dtype=int)}):
+            with pytest.raises(ValueError, match="exactly one of rows and counts"):
+                PRICED.take(**kwargs)
+
 
 class TestEvppiEstimate:
     def test_unknown_method_rejected(self):

@@ -3,7 +3,11 @@
 import itertools
 import math
 import sys
+import threading
+import time
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,11 +20,14 @@ from voikit import (
     EvppiEstimate,
     LinearGaussianSpec,
     NonlinearToySpec,
+    ParamSubset,
     PsaSample,
     bootstrap_estimates,
     build_nb,
     cumsum_curve,
     evpi,
+    fit_regression,
+    gam_evppi,
     generate_psa,
     linear_gaussian_oracle,
     order_by_param,
@@ -29,7 +36,9 @@ from voikit import (
     so_choose_bins,
     so_evppi,
 )
-from voikit import single_param
+from voikit import psa, single_param
+from voikit.gp import _record_hyperparameters
+from voikit.regression import REPLICATE_FAILURES
 from voikit.single_param import BIN_GRID, _bin_bounds, _relative_prefix_sums
 
 from conftest import make_sample
@@ -196,6 +205,46 @@ def _outcomes(sample):
 
 TIED = _tied_sample(40, 3, seed=4)
 
+# count vectors over TIED's rows: absent, few and heavily repeated rows
+TIED_COUNTS = st.lists(
+    st.one_of(st.just(0), st.integers(1, 3), st.integers(30, 150)),
+    min_size=TIED.n_sims, max_size=TIED.n_sims,
+).filter(lambda c: sum(c) >= 2)
+
+# TIED's kernels for a fixed-kernel GP refit on both parameters
+TIED_KERNELS = tuple(
+    _record_hyperparameters(info)
+    for info in fit_regression(TIED, ParamSubset.of(0, 1), "gp")[1]
+)
+
+ARRAYS = ("params", "nb", "effects", "costs")
+
+
+def _gathered(sample):
+    """What a sample from ``take`` has materialized: the arrays it has
+    gathered, and "index" once a count vector's row-index array is built."""
+    names = {name for name in ARRAYS if vars(sample).get(name) is not None}
+    return names | ({"index"} if sample._rows.index is not None else set())
+
+
+def _fits(sample):
+    """GAM and fixed-kernel GP fits on both parameters, in comparable form;
+    a failed fit, or one that warns, counts by its error type and message."""
+    out = []
+    for method, kernels in (("gam", None), ("gp", TIED_KERNELS)):
+        try:
+            with warnings.catch_warnings():
+                # GAM's basis warns on a replicate of one tied value
+                warnings.simplefilter("error", RuntimeWarning)
+                fitted, records = fit_regression(
+                    sample, ParamSubset.of(0, 1), method, gp_hyperparameters=kernels
+                )
+        except (*REPLICATE_FAILURES, RuntimeWarning) as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        out.append((fitted.shape, fitted.tobytes(), repr(records)))
+    return out
+
 
 class TestReplicatesReadTheParentsOrder:
     """A replicate from ``take`` with nondecreasing rows reads its parent's
@@ -230,12 +279,7 @@ class TestReplicatesReadTheParentsOrder:
         assert _outcomes(replicate.at_wtp(2_000.0)) != _outcomes(replicate)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        counts=st.lists(
-            st.one_of(st.just(0), st.integers(1, 3), st.integers(30, 150)),
-            min_size=TIED.n_sims, max_size=TIED.n_sims,
-        ).filter(lambda c: sum(c) >= 2)
-    )
+    @given(counts=TIED_COUNTS)
     def test_any_count_vector(self, counts):
         replicate = TIED.take(np.repeat(np.arange(TIED.n_sims), counts))
         assert _outcomes(replicate) == _outcomes(_rebuilt(replicate))
@@ -256,6 +300,123 @@ class TestReplicatesReadTheParentsOrder:
         bootstrap_estimates(lambda s: so_bias(s, 0, 20, n_mc=20), sample, cfg, n_threads)
         bootstrap_estimates(lambda s: sad_evppi(s, 0, 2), sample, cfg, n_threads)
         assert sorted_columns == [2_000]
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=TIED_COUNTS)
+    def test_count_vector_equals_its_rows(self, counts):
+        # a priced sample and one of net benefit only
+        for sample in (TIED, PsaSample(TIED.param_names, TIED.params, TIED.nb)):
+            by_counts = sample.take(counts=np.array(counts))
+            by_rows = sample.take(np.repeat(np.arange(sample.n_sims), counts))
+            assert by_counts.n_sims == by_rows.n_sims == sum(counts)
+            assert _outcomes(by_counts) == _outcomes(by_rows)  # before any gather
+            for name in ARRAYS:
+                got, want = getattr(by_counts, name), getattr(by_rows, name)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            for p in (0, 1):
+                assert by_counts.param_order(p).tobytes() == by_rows.param_order(p).tobytes()
+            [got, want] = [s._source[1] for s in (by_counts, by_rows)]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert by_counts._source[0] is by_rows._source[0] is sample
+            assert _fits(by_counts) == _fits(by_rows)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_single_parameter_replicates_gather_nothing(self, n_threads):
+        sample = _tied_sample(600, 3, seed=6)
+        replicates = []
+
+        def keeping(estimator):
+            def run(s):
+                out = estimator(s)
+                replicates.append(s)
+                return out
+
+            return run
+
+        cfg = BootstrapConfig(4, seed=2)
+        for p in (0, 1):
+            for estimator in (
+                lambda s: so_evppi(s, p, 20),
+                lambda s: so_bias(s, p, 20, n_mc=20),
+                lambda s: sad_evppi(s, p, 1),
+                lambda s: sad_evppi(s, p, 2),
+            ):
+                bootstrap_estimates(keeping(estimator), sample, cfg, n_threads)
+        assert len(replicates) == 2 * 4 * cfg.n_replicates
+        assert all(_gathered(s) == set() for s in replicates)
+
+    def test_regression_replicate_gathers_params_and_nb_once(self, monkeypatch):
+        sample = generate_psa(NonlinearToySpec(), 400, seed=3)
+        assert sample.effects is not None
+        gathers = []
+        gather = psa._Rows.gather
+
+        def counting(rows, s, name):
+            gathers.append((id(s), name))
+            return gather(rows, s, name)
+
+        monkeypatch.setattr(psa._Rows, "gather", counting)
+        replicates = []
+
+        def estimator(s):
+            replicates.append(s)
+            return gam_evppi(s, ParamSubset.of(0))
+
+        bootstrap_estimates(estimator, sample, BootstrapConfig(2, seed=4))
+        assert len(replicates) == 2
+        for s in replicates:
+            assert sorted(name for i, name in gathers if i == id(s)) == ["nb", "params"]
+            assert _gathered(s) == {"index", "nb", "params"}
+            for name in ("params", "nb"):
+                first = getattr(s, name)
+                assert getattr(s, name) is first and not first.flags.writeable
+        assert len(gathers) == 2 * len(replicates)
+
+    def test_threads_share_one_gather_per_array(self, monkeypatch):
+        replicate = TIED.take(counts=np.arange(TIED.n_sims) % 3)
+        calls = []
+        take, repeat = np.take, np.repeat
+
+        def slow_take(*args, **kwargs):
+            calls.append("take")
+            time.sleep(0.002)  # the other readers run into the gather meanwhile
+            return take(*args, **kwargs)
+
+        def counted_repeat(*args, **kwargs):
+            calls.append("repeat")
+            return repeat(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", slow_take)
+        monkeypatch.setattr(np, "repeat", counted_repeat)
+        start = threading.Barrier(4)
+
+        def read(i):
+            start.wait()
+            return [(name, getattr(replicate, name)) for name in ARRAYS[i:] + ARRAYS[:i]]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            reads = [a for got in pool.map(read, range(4)) for a in got]
+        assert sorted(calls) == ["repeat"] + ["take"] * 4
+        for name, a in reads:
+            assert a is getattr(replicate, name) and not a.flags.writeable
+
+    def test_bootstrap_memory_bounded(self):
+        # a replicate of 10^5 rows is a count vector (0.8 MB): SO reads the
+        # parent's rank order, so no replicate holds an index array or a
+        # gathered params or nb (1.6 MB each): the peak was 10.9 MB with
+        # those and is 6.9 MB without (numpy 2.4)
+        sample = generate_psa(LinearGaussianSpec(), 100_000, seed=3)
+        tracemalloc.start()
+        try:
+            bootstrap_estimates(lambda s: so_evppi(s, 0, 50), sample, BootstrapConfig(8, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBinBounds:
