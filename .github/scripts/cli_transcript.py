@@ -59,6 +59,10 @@ COMMANDS = [
          "--changes", "risk_reduction=1", "--k-list", "0,20000"]),
     (1, ["evppi", "--file", "dominated.csv", "--method", "so", "--params", "phi",
          "--bias-threshold-relative", "0.1"]),
+    # a constant column whose SD rounds to 2.8e-17, not 0, refused by both
+    # regressions
+    (1, ["evppi", "--file", "constant.csv", "--method", "gam", "--params", "x"]),
+    (1, ["evppi", "--file", "constant.csv", "--method", "gp", "--params", "x"]),
     # compare: table, JSON, the nested-MC column and a failing estimator
     (0, ["compare", *TOY, "--params", "risk_reduction;risk_reduction,p_infection",
          "--bootstrap", "5"]),
@@ -84,10 +88,11 @@ COMMANDS = [
 ]
 
 
-def write_dominated(workdir: Path) -> None:
+def write_inputs(workdir: Path) -> None:
     """Two arms where arm 1 is best in every row (``dominated.csv``, EVPI 0
-    at any k), and an effect/cost file whose arm 1 costs more in every row
-    (``dominated_ec.csv``, EVPI 0 at k = 0 only)."""
+    at any k), an effect/cost file whose arm 1 costs more in every row
+    (``dominated_ec.csv``, EVPI 0 at k = 0 only), and 19 rows whose
+    parameter x is 0.2 in every row (``constant.csv``)."""
     with open(workdir / "dominated.csv", "w", newline="", encoding="utf-8") as f:
         out = csv.writer(f)
         out.writerow(["param:phi", "nb:0", "nb:1"])
@@ -100,6 +105,12 @@ def write_dominated(workdir: Path) -> None:
         for i in range(200):
             x = (i * 37 % 200) / 100.0
             out.writerow([x, 1.0, 100.0, 0.5 + x, 200.0 + x])
+    with open(workdir / "constant.csv", "w", newline="", encoding="utf-8") as f:
+        out = csv.writer(f)
+        out.writerow(["param:x", "param:phi", "nb:0", "nb:1"])
+        for i in range(19):
+            phi = (i * 7 % 19) / 10.0
+            out.writerow([0.2, phi, phi - 1.0, 0.5 * phi])
 
 
 def digest(data: bytes) -> str:
@@ -121,7 +132,7 @@ def main() -> int:
     env["COLUMNS"] = "80"  # argparse wraps --help to this width
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        write_dominated(workdir)
+        write_inputs(workdir)
         for expected, argv in COMMANDS:
             before = snapshot(workdir)
             run = subprocess.run(

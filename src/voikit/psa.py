@@ -132,32 +132,33 @@ class _ParamOrders:
 
 class _Rows:
     """The rows of ``parent`` that a sample from :meth:`PsaSample.take`
-    holds, as an index array or as each row's count, and the gather of its
-    arrays from them.
+    holds, as each row's count, and the gather of its arrays from them.
 
     Each array is gathered once, on first read, into the sample's instance
-    dictionary, where every later read finds it; the index array of a
-    count vector is built once, at the first gather.  A lock makes it one
-    gather per array even when threads share the sample.  The object holds
-    no reference to its sample, so a sample is freed without the cyclic
-    collector.
+    dictionary, where every later read finds it; an effect or cost matrix
+    the parent lacks is stored as None.  The index array of the counts is
+    built once, at the first gather.  A lock makes it one gather per array
+    even when threads share the sample.  The object holds no reference to
+    its sample, so a sample is freed without the cyclic collector.
     """
 
-    def __init__(self, parent: PsaSample, n_rows: int, index=None, counts=None):
+    def __init__(self, parent: PsaSample, counts: np.ndarray):
         self.parent = parent
-        self.n_rows = n_rows
-        self.index = index
         self.counts = counts
+        self.n_rows = int(counts.sum())
+        self.index = None
         self._lock = threading.Lock()
 
-    def gather(self, sample: PsaSample, name: str) -> np.ndarray:
+    def gather(self, sample: PsaSample, name: str) -> np.ndarray | None:
         fields = vars(sample)
         with self._lock:
             if name not in fields:
-                if self.index is None:
-                    self.index = np.repeat(np.arange(self.counts.size), self.counts)
-                out = np.take(getattr(self.parent, name), self.index, axis=0)
-                out.flags.writeable = False
+                out = getattr(self.parent, name)
+                if out is not None:
+                    if self.index is None:
+                        self.index = np.repeat(np.arange(self.counts.size), self.counts)
+                    out = np.take(out, self.index, axis=0)
+                    out.flags.writeable = False
                 fields[name] = out
         return fields[name]
 
@@ -190,9 +191,10 @@ class PsaSample:
     benefit can be rebuilt at any other threshold without re-simulation.
     Inputs are validated and copied once, here; the samples derived from
     this one (:meth:`take`, :meth:`at_wtp`) share or gather its frozen
-    arrays without a second check or copy, a sample from :meth:`take` each
-    array on its first read.  No operation mutates an array.  The stable
-    sort order of each parameter column is computed on first use and kept
+    arrays without a second check or copy.  A sample from :meth:`take`, a
+    count of each row (a bootstrap replicate), gathers each array on its
+    first read.  No operation mutates an array.  The stable sort order of
+    each parameter column is computed on first use and kept
     (:meth:`param_order`).  Samples compare and hash by identity.
     """
 
@@ -204,7 +206,6 @@ class PsaSample:
     k: float | None = None
     treatment_names: tuple[str, ...] | None = None
     _orders: _ParamOrders = field(init=False, repr=False)
-    _source: tuple[PsaSample, np.ndarray] | None = field(init=False, repr=False)
     _rows: _Rows | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -226,7 +227,6 @@ class PsaSample:
         object.__setattr__(self, "params", _frozen(params))
         object.__setattr__(self, "nb", _frozen(nb))
         object.__setattr__(self, "_orders", _ParamOrders())
-        object.__setattr__(self, "_source", None)
         object.__setattr__(self, "_rows", None)
 
         if self.k is not None:
@@ -285,55 +285,33 @@ class PsaSample:
         """Column of the parameter ``name``, by :meth:`ParamSubset.from_names`."""
         return ParamSubset.from_names([name], self.param_names).indices[0]
 
-    def take(self, rows: np.ndarray | None = None, *,
-             counts: np.ndarray | None = None) -> "PsaSample":
-        """Row-subset (or resampled) copy, used by the bootstrap.
+    def take(self, *, counts: np.ndarray) -> "PsaSample":
+        """Resampled copy, used by the bootstrap: row i ``counts[i]`` times,
+        in row-index order.
 
-        Give exactly one of ``rows``, a 1-D integer array of at least 2
-        indices in [-S, S), and ``counts``, a 1-D integer array of S
-        nonnegative counts totalling at least 2: the copy of a count vector
-        holds row i ``counts[i]`` times, in row-index order (a bootstrap
-        replicate).  The copy's arrays are gathered from this sample on
+        ``counts`` is a 1-D integer array of S nonnegative counts totalling
+        at least 2; it is keyword-only, so an array of row indices cannot
+        pass for one.  The copy's arrays are gathered from this sample on
         their first read, each once; one never read is never gathered.
-        When ``rows`` are nonnegative and nondecreasing, and always for
-        ``counts``, the copy keeps this sample and each row's count as its
-        source: the copy's stable order of a column is this sample's with
-        each row repeated by its count, which single-parameter estimates
-        read instead of any array of the copy.
+        The copy keeps this sample and the counts as the record of its
+        rows (:class:`_Rows`): its stable order of a column is this
+        sample's with each row repeated by its count, which
+        single-parameter estimates read instead of any array of the copy.
         """
+        counts = np.asarray(counts)
+        if counts.ndim != 1:
+            raise ValueError(f"counts must be 1-D, got shape {counts.shape}")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
         n = self.n_sims
-        if (rows is None) == (counts is None):
-            raise ValueError("give exactly one of rows and counts")
-        if counts is not None:
-            counts = np.asarray(counts)
-            if counts.ndim != 1:
-                raise ValueError(f"counts must be 1-D, got shape {counts.shape}")
-            if counts.dtype.kind not in "iu":
-                raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-            if counts.size != n:
-                raise ValueError(f"counts has {counts.size} entries for {n} simulation rows")
-            if counts.min() < 0:
-                raise ValueError("counts must not be negative")
-            counts = counts.astype(np.intp)  # a copy, read by the source and the gather
-            n_rows = int(counts.sum())
-            if n_rows < 2:
-                raise ValueError(f"counts total {n_rows}; need at least 2 rows")
-        else:
-            rows = np.array(rows)  # a copy, since the gather comes later
-            if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size < 2:
-                raise ValueError(f"rows must be a 1-D integer array of at least 2 "
-                                 f"indices, got dtype {rows.dtype}, shape {rows.shape}")
-            if rows.min() < -n or rows.max() >= n:
-                raise ValueError(f"rows out of range for {n} simulation rows")
-            n_rows = rows.size
-            if rows[0] >= 0 and np.all(rows[1:] >= rows[:-1]):
-                counts = np.bincount(rows, minlength=n)
-        # a copy of a sample without effects and costs has none to gather;
-        # the test reads no pending array of a sample from take
-        unpriced = "effects" in vars(self) and self.effects is None
-        arrays = {"effects": None, "costs": None} if unpriced else {}
-        return self._derive(self.k, _ParamOrders(), None if counts is None else (self, counts),
-                            _Rows(self, n_rows, rows, counts), **arrays)
+        if counts.size != n:
+            raise ValueError(f"counts has {counts.size} entries for {n} simulation rows")
+        if counts.min() < 0:
+            raise ValueError("counts must not be negative")
+        rows = _Rows(self, counts.astype(np.intp))  # a copy, read by the gather
+        if rows.n_rows < 2:
+            raise ValueError(f"counts total {rows.n_rows}; need at least 2 rows")
+        return self._derive(self.k, _ParamOrders(), rows)
 
     def at_wtp(self, k) -> "PsaSample":
         """Rebuild the sample at a different willingness to pay.
@@ -356,19 +334,18 @@ class PsaSample:
         return self._derive(self.k, self._orders, params=self.params, nb=nb,
                             effects=None, costs=None)
 
-    def _derive(self, k, orders, source=None, rows=None, **arrays) -> "PsaSample":
+    def _derive(self, k, orders, rows=None, **arrays) -> "PsaSample":
         """A sample built from this one's validated ``arrays`` (params, nb,
         effects, costs): no check, no copy; the arrays are marked read-only
         and the names carry over.  A sample from :meth:`take` passes its
-        source and rows and leaves out each array it gathers on first
-        read."""
+        rows instead and gathers every array on first read."""
         for a in arrays.values():
             if a is not None:
                 a.flags.writeable = False
         out = object.__new__(PsaSample)
         vars(out).update(
             param_names=self.param_names, k=k, treatment_names=self.treatment_names,
-            _orders=orders, _source=source, _rows=rows, **arrays,
+            _orders=orders, _rows=rows, **arrays,
         )
         return out
 
@@ -400,8 +377,12 @@ def _standardized_params(sample: PsaSample, subset: ParamSubset) -> np.ndarray:
     subset.validate_against(sample.n_params)
     phi = sample.params[:, list(subset.indices)]
     sd = phi.std(axis=0)
-    if np.any(sd == 0):
-        bad = [sample.param_names[subset.indices[i]] for i in np.where(sd == 0)[0]]
+    # constancy is tested exactly, since the SD of a constant column is
+    # often a rounding residue, not 0; an SD that underflows to 0 (values
+    # 1e-170 apart) leaves nothing to scale by either
+    flat = (phi.max(axis=0) == phi.min(axis=0)) | (sd == 0)
+    if np.any(flat):
+        bad = [sample.param_names[subset.indices[i]] for i in np.flatnonzero(flat)]
         raise ValueError(
             f"constant parameter column(s) {bad} carry no information; "
             "a regression on them is rank-deficient"

@@ -134,10 +134,11 @@ def bootstrap_estimates(
     (seed, replicate index), so results are identical at any thread count.
     A replicate is the count vector of its draw over the sample's rows
     (``sample.take(counts=...)``): the estimator sees the drawn rows in
-    row-index order (only their counts matter), and the replicate gathers
-    each array from the sample on first read, so an estimator that reads
-    none gathers none.  The single-parameter estimators read the sample's
-    rank order, repeated by count, instead of sorting the replicate.
+    row-index order, and since no estimator depends on row order, only
+    their counts matter.  The replicate gathers each array from the sample
+    on first read, so an estimator that reads none gathers none.  The
+    single-parameter estimators read the sample's rank order, repeated by
+    count, instead of sorting the replicate.
     A replicate where the estimator fails numerically (one of
     ``REPLICATE_FAILURES``) is skipped; any other exception is a bug and
     propagates.  More than 20% skipped replicates aborts, with the first

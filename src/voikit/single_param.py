@@ -93,9 +93,9 @@ def order_by_param(sample: PsaSample, p: int) -> np.ndarray:
 
     The sort is stable, so tied parameter values keep their original row
     order.  The sample computes it once per column and every caller shares
-    the read-only array; the estimators here read a bootstrap replicate's
-    order off its parent's, each row repeated by its count
-    (:meth:`PsaSample.take`).
+    the read-only array.  The estimators here never sort a bootstrap
+    replicate (a sample from :meth:`PsaSample.take`): they read its
+    parent's order, each row repeated by its count.
     """
     return sample.param_order(p)
 
@@ -123,11 +123,11 @@ def _ranked(sample: PsaSample, p: int):
     a count vector over its parent (:meth:`PsaSample.take`), whose arrays
     it would gather on first read; this reads none of them, but gathers
     both in rank order straight from the parent's arrays, by the parent's
-    cached order with each row repeated by its count."""
-    if sample._source is None:
+    cached order with each row repeated by its count (``sample._rows``)."""
+    if sample._rows is None:
         base, rows = sample, order_by_param(sample, p)
     else:
-        base, counts = sample._source
+        base, counts = sample._rows.parent, sample._rows.counts
         order = order_by_param(base, p)
         rows = np.repeat(order, counts[order])
     phi_sorted = base.param_column(p)[rows]

@@ -154,7 +154,8 @@ def test_every_bootstrap_replicate_runs_at_one_thread(lin_sample):
 @needs_openblas
 @pytest.mark.parametrize("estimate", [gam_evppi, gp_evppi])
 def test_the_callers_count_is_restored(lin_sample, caller_at_two_threads, estimate):
-    estimate(lin_sample.take(np.arange(1000)), ParamSubset.of(0, 1),
+    first_1000 = (np.arange(lin_sample.n_sims) < 1000).astype(int)
+    estimate(lin_sample.take(counts=first_1000), ParamSubset.of(0, 1),
              bootstrap=BootstrapConfig(3, seed=0), n_threads=2)
     assert _blas._thread_counts() == caller_at_two_threads
 

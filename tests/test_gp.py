@@ -277,7 +277,7 @@ def test_duplicated_rows_add_no_inducing_points():
     n = 200
     phi = rng.standard_normal(n)
     sample = make_sample(np.column_stack([np.zeros(n), np.sin(3 * phi)]), phi=phi)
-    doubled = sample.take(np.repeat(np.arange(n), 2))
+    doubled = sample.take(counts=np.full(n, 2))
     hp = GpHyperparameters(length_scales=(0.05,), signal_var=0.5, noise_var=0.05)
     _, info = gp_fit_detail(sample, ParamSubset.of(0), 1, hyperparameters=hp)
     _, info2 = gp_fit_detail(doubled, ParamSubset.of(0), 1, hyperparameters=hp)
@@ -299,7 +299,8 @@ def test_shorter_length_scale_keeps_more_inducing_points(lin_sample):
 def test_posterior_memory_bounded_at_large_sample(length_scale):
     sample = generate_psa(LinearGaussianSpec(), 100_000, seed=2)
     hp = GpHyperparameters(length_scales=(length_scale,), signal_var=2.0, noise_var=1.0)
-    warm = sample.take(np.arange(1_000))  # scipy imports stay out of the trace
+    # scipy imports stay out of the trace
+    warm = sample.take(counts=(np.arange(sample.n_sims) < 1_000).astype(int))
     gp_fit_detail(warm, ParamSubset.of(0), 1, hyperparameters=hp)
     tracemalloc.start()
     try:

@@ -130,7 +130,8 @@ def test_write_memory_bounded(tmp_path):
     # 10^5 rows of 4 columns: a whole-table write holds 400,000 Python
     # floats in lists (about 22 MB); a block of 4096 rows holds about 1 MB
     sample = generate_psa(LinearGaussianSpec(), 100_000, seed=1)
-    write_psa_csv(tmp_path / "warm.csv", sample.take(np.arange(100)))
+    first_100 = (np.arange(sample.n_sims) < 100).astype(int)
+    write_psa_csv(tmp_path / "warm.csv", sample.take(counts=first_100))
     tracemalloc.start()
     try:
         write_psa_csv(tmp_path / "psa.csv", sample)

@@ -25,7 +25,7 @@ from voikit import (
 
 from voikit.psa import _row_max
 
-from conftest import make_sample
+from conftest import make_sample, rows_sample
 
 
 nb_matrices = arrays(
@@ -218,8 +218,10 @@ class TestPsaSample:
             lin_sample.nb[0, 0] = 1.0
 
     def test_take_resamples_rows(self, lin_sample):
-        rows = np.array([5, 5, 2])
-        sub = lin_sample.take(rows)
+        counts = np.zeros(lin_sample.n_sims, dtype=int)
+        counts[[2, 5]] = [1, 2]
+        sub = lin_sample.take(counts=counts)
+        rows = [2, 5, 5]  # in row-index order
         assert np.array_equal(sub.params, lin_sample.params[rows])
         assert np.array_equal(sub.nb, lin_sample.nb[rows])
 
@@ -250,7 +252,7 @@ class TestPsaSample:
         assert str(by_index.value) == str(by_names.value)
 
     def test_samples_compare_and_hash_by_identity(self, lin_sample):
-        twin = lin_sample.take(np.arange(lin_sample.n_sims))
+        twin = lin_sample.take(counts=np.ones(lin_sample.n_sims, dtype=int))
         assert np.array_equal(twin.params, lin_sample.params)
         assert lin_sample == lin_sample
         assert lin_sample != twin
@@ -281,37 +283,49 @@ def _priced_sample():
 
 PRICED = _priced_sample()
 
+# PRICED's net benefit alone, and a take of PRICED with as many rows (row i
+# i mod 3 times), so one count vector fits all three
+NB_ONLY = PsaSample(PRICED.param_names, PRICED.params, PRICED.nb,
+                    treatment_names=PRICED.treatment_names)
+REPLICATE = PRICED.take(counts=np.arange(PRICED.n_sims) % 3)
+
+# count vectors over 30 rows: absent, single and repeated rows
+COUNTS = st.lists(
+    st.one_of(st.just(0), st.integers(1, 4)), min_size=30, max_size=30,
+).filter(lambda c: sum(c) >= 2)
+
 
 class TestDerivedSamples:
     """``take``, ``at_wtp`` and ``_with_nb`` build on validated arrays
     without a second check or copy."""
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(st.integers(-30, 29), min_size=2, max_size=70),
-        nondecreasing=st.booleans(),
-    )
-    def test_take_equals_the_public_constructor(self, rows, nondecreasing):
-        rows = np.array(rows)
-        if nondecreasing:  # a bootstrap replicate: orders derived from PRICED's
-            rows = np.sort(rows % PRICED.n_sims)
-        sub = PRICED.take(rows)
-        ref = PsaSample(
-            PRICED.param_names, PRICED.params[rows], PRICED.nb[rows],
-            effects=PRICED.effects[rows], costs=PRICED.costs[rows], k=PRICED.k,
-            treatment_names=PRICED.treatment_names,
-        )
-        for name in ("params", "nb", "effects", "costs"):
-            got, want = getattr(sub, name), getattr(ref, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
-        assert (sub.param_names, sub.k, sub.treatment_names) == (
-            ref.param_names, ref.k, ref.treatment_names
-        )
-        for p in (0, 1):
-            order = sub.param_order(p)
-            assert np.array_equal(order, np.argsort(sub.params[:, p], kind="stable"))
-            assert not order.flags.writeable
+    @given(counts=COUNTS)
+    def test_take_equals_the_public_constructor(self, counts):
+        counts = np.array(counts)
+        rows = np.repeat(np.arange(30), counts)
+        cases = {
+            "priced": (PRICED.take(counts=counts), rows_sample(PRICED, rows)),
+            "nb only": (NB_ONLY.take(counts=counts), rows_sample(NB_ONLY, rows)),
+            "take of a take": (REPLICATE.take(counts=counts), rows_sample(REPLICATE, rows)),
+            "at_wtp of a take": (PRICED.take(counts=counts).at_wtp(250.0),
+                                 rows_sample(PRICED, rows).at_wtp(250.0)),
+        }
+        for case, (sub, ref) in cases.items():
+            for name in ("params", "nb", "effects", "costs"):
+                got, want = getattr(sub, name), getattr(ref, name)
+                if want is None:
+                    assert got is None, (case, name)
+                    continue
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (case, name)
+                assert not got.flags.writeable, (case, name)
+            assert (sub.param_names, sub.k, sub.treatment_names) == (
+                ref.param_names, ref.k, ref.treatment_names
+            ), case
+            for p in (0, 1):
+                order = sub.param_order(p)
+                assert np.array_equal(order, np.argsort(sub.params[:, p], kind="stable")), case
+                assert not order.flags.writeable, case
 
     def test_at_wtp_shares_all_but_nb(self):
         rebuilt = PRICED.at_wtp(250.0)
@@ -342,7 +356,7 @@ class TestDerivedSamples:
             ("x",), np.array([[0.0], [1.0], [2.0]]), nb=nb,
             effects=effects, costs=costs, k=1e4,
         )
-        assert sample.take([1, 1]).nb.tobytes() == nb[[1, 1]].tobytes()
+        assert sample.take(counts=np.array([0, 2, 0])).nb.tobytes() == nb[[1, 1]].tobytes()
         # seed 0 draws row 1 three times (a constant column) in one of the
         # 20 replicates
         estimate = with_bootstrap(
@@ -350,17 +364,6 @@ class TestDerivedSamples:
             BootstrapConfig(20, seed=0),
         )
         assert estimate.diagnostics["bootstrap_failures"] == 0
-
-    @pytest.mark.parametrize("rows, message", [
-        pytest.param(np.array([0.0, 1.0]), "integer", id="float"),
-        pytest.param(np.array([[0, 1], [1, 2]]), "1-D", id="2-D"),
-        pytest.param(np.array([3]), "at least 2", id="one row"),
-        pytest.param(np.array([0, 30]), "out of range", id="past the end"),
-        pytest.param(np.array([-31, 0]), "out of range", id="before the start"),
-    ])
-    def test_take_rejects_bad_rows(self, rows, message):
-        with pytest.raises(ValueError, match=message):
-            PRICED.take(rows)
 
     @pytest.mark.parametrize("counts, message", [
         pytest.param(np.ones((30, 1), dtype=int), "must be 1-D", id="2-D"),
@@ -375,11 +378,11 @@ class TestDerivedSamples:
     def test_take_rejects_bad_counts(self, counts, message):
         with pytest.raises(ValueError, match=message):
             PRICED.take(counts=counts)
-
-    def test_take_needs_rows_or_counts_not_both(self):
-        for kwargs in ({}, {"rows": np.arange(3), "counts": np.ones(30, dtype=int)}):
-            with pytest.raises(ValueError, match="exactly one of rows and counts"):
-                PRICED.take(**kwargs)
+        # counts are keyword-only: row indices such as np.arange(S) would
+        # otherwise pass for a valid count vector
+        for positional in (counts, np.arange(PRICED.n_sims)):
+            with pytest.raises(TypeError):
+                PRICED.take(positional)
 
 
 class TestEvppiEstimate:

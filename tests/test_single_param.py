@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 import threading
 import time
@@ -29,6 +30,7 @@ from voikit import (
     fit_regression,
     gam_evppi,
     generate_psa,
+    gp_evppi,
     linear_gaussian_oracle,
     order_by_param,
     sad_evppi,
@@ -41,7 +43,7 @@ from voikit.gp import _record_hyperparameters
 from voikit.regression import REPLICATE_FAILURES
 from voikit.single_param import BIN_GRID, _bin_bounds, _relative_prefix_sums
 
-from conftest import make_sample
+from conftest import make_sample, rows_sample
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -84,17 +86,17 @@ class TestOrderByParam:
             nb=rng.normal(size=(n, 2)),
         )
         draws = rng.integers(0, n, size=n)
-        rows_list = [
-            np.sort(draws),                     # a bootstrap replicate
-            np.sort(draws[: n // 3]),           # shorter, still sorted
-            np.repeat(np.arange(n), 2),         # every row twice
-            draws,                              # draw order
-            draws[::-1][: n + 7 - n // 2],      # unsorted, other length
-            np.arange(-n, 0),                   # negative indices
+        children = [
+            sample.take(counts=np.bincount(draws, minlength=n)),  # a bootstrap replicate
+            sample.take(counts=np.bincount(draws[: n // 3], minlength=n)),  # fewer rows
+            sample.take(counts=np.full(n, 2)),                    # every row twice
+            rows_sample(sample, draws),                           # draw order
+            rows_sample(sample, draws[::-1][: n + 7 - n // 2]),   # unsorted, other length
+            rows_sample(sample, np.arange(-n, 0)),                # negative indices
         ]
-        for rows in rows_list:
-            child = sample.take(rows)
-            grandchild = child.take(np.sort(rng.integers(0, child.n_sims, size=child.n_sims)))
+        for child in children:
+            m = child.n_sims
+            grandchild = child.take(counts=np.bincount(rng.integers(0, m, size=m), minlength=m))
             for s in (child, grandchild):
                 for p in (0, 1):
                     assert np.array_equal(
@@ -102,7 +104,8 @@ class TestOrderByParam:
                     )
 
     def test_cached_order_is_read_only(self, lin_sample):
-        replicate = lin_sample.take(np.sort(np.random.default_rng(0).integers(0, 10_000, 10_000)))
+        draws = np.random.default_rng(0).integers(0, 10_000, 10_000)
+        replicate = lin_sample.take(counts=np.bincount(draws, minlength=10_000))
         for s in (lin_sample, replicate):
             order = order_by_param(s, 0)
             assert order is order_by_param(s, 0)
@@ -144,7 +147,7 @@ class TestOrderByParam:
         sample = generate_psa(LinearGaussianSpec(), 3_000, seed=seed)
         cfg = BootstrapConfig(8, seed=seed)
         draw_order = [
-            sample.take(np.random.default_rng([cfg.seed, b]).integers(0, 3_000, size=3_000))
+            rows_sample(sample, np.random.default_rng([cfg.seed, b]).integers(0, 3_000, 3_000))
             for b in range(cfg.n_replicates)
         ]
         for p in (0, 1):
@@ -247,41 +250,45 @@ def _fits(sample):
 
 
 class TestReplicatesReadTheParentsOrder:
-    """A replicate from ``take`` with nondecreasing rows reads its parent's
-    rank order; its estimates are bit for bit those of the same rows in a
-    sample built from scratch."""
+    """A replicate from ``take`` reads its parent's rank order; its
+    estimates are bit for bit those of the same rows in a sample built
+    from scratch."""
 
     @pytest.mark.parametrize("n_t", [2, 3])
     def test_replicate_equals_a_rebuilt_sample(self, n_t):
         sample = _tied_sample(600, n_t, seed=n_t)
-        rows = np.sort(np.random.default_rng(n_t).integers(0, 600, size=600))
-        replicate = sample.take(rows)
-        assert replicate._source is not None
+        draws = np.random.default_rng(n_t).integers(0, 600, size=600)
+        replicate = sample.take(counts=np.bincount(draws, minlength=600))
+        assert replicate._rows.parent is sample
         assert _outcomes(replicate) == _outcomes(_rebuilt(replicate))
 
     def test_replicate_of_a_replicate(self):
         rng = np.random.default_rng(11)
-        replicate = _tied_sample(600, 3, seed=11).take(np.sort(rng.integers(0, 600, size=600)))
-        grandchild = replicate.take(np.sort(rng.integers(0, 600, size=450)))
-        assert grandchild._source[0] is replicate
+        replicate = _tied_sample(600, 3, seed=11).take(
+            counts=np.bincount(rng.integers(0, 600, size=600), minlength=600)
+        )
+        grandchild = replicate.take(
+            counts=np.bincount(rng.integers(0, 600, size=450), minlength=600)
+        )
+        assert grandchild._rows.parent is replicate
         assert _outcomes(grandchild) == _outcomes(_rebuilt(grandchild))
 
     def test_new_net_benefit_does_not_read_the_source(self):
         replicate = _tied_sample(600, 3, seed=5).take(
-            np.sort(np.random.default_rng(5).integers(0, 600, size=600))
+            counts=np.bincount(np.random.default_rng(5).integers(0, 600, size=600), minlength=600)
         )
         for derived in (
             replicate.at_wtp(2_000.0),
             replicate._with_nb(replicate.nb - replicate.nb[:, :1]),
         ):
-            assert derived._source is None
+            assert derived._rows is None
             assert _outcomes(derived) == _outcomes(_rebuilt(derived))
         assert _outcomes(replicate.at_wtp(2_000.0)) != _outcomes(replicate)
 
     @settings(max_examples=40, deadline=None)
     @given(counts=TIED_COUNTS)
     def test_any_count_vector(self, counts):
-        replicate = TIED.take(np.repeat(np.arange(TIED.n_sims), counts))
+        replicate = TIED.take(counts=np.array(counts))
         assert _outcomes(replicate) == _outcomes(_rebuilt(replicate))
 
     @pytest.mark.parametrize("n_threads", [1, 2])
@@ -304,10 +311,11 @@ class TestReplicatesReadTheParentsOrder:
     @settings(max_examples=40, deadline=None)
     @given(counts=TIED_COUNTS)
     def test_count_vector_equals_its_rows(self, counts):
-        # a priced sample and one of net benefit only
+        # a priced sample and one of net benefit only; the rows go through
+        # the public constructor
         for sample in (TIED, PsaSample(TIED.param_names, TIED.params, TIED.nb)):
             by_counts = sample.take(counts=np.array(counts))
-            by_rows = sample.take(np.repeat(np.arange(sample.n_sims), counts))
+            by_rows = rows_sample(sample, np.repeat(np.arange(sample.n_sims), counts))
             assert by_counts.n_sims == by_rows.n_sims == sum(counts)
             assert _outcomes(by_counts) == _outcomes(by_rows)  # before any gather
             for name in ARRAYS:
@@ -319,9 +327,8 @@ class TestReplicatesReadTheParentsOrder:
                 assert not got.flags.writeable
             for p in (0, 1):
                 assert by_counts.param_order(p).tobytes() == by_rows.param_order(p).tobytes()
-            [got, want] = [s._source[1] for s in (by_counts, by_rows)]
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert by_counts._source[0] is by_rows._source[0] is sample
+            assert by_counts._rows.parent is sample and by_rows._rows is None
+            assert by_counts._rows.counts.tobytes() == np.array(counts, np.intp).tobytes()
             assert _fits(by_counts) == _fits(by_rows)
 
     @pytest.mark.parametrize("n_threads", [1, 2])
@@ -417,6 +424,27 @@ class TestReplicatesReadTheParentsOrder:
         finally:
             tracemalloc.stop()
         assert peak <= 8.5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestConstantColumnsUpToRounding:
+    """A column holding one value is constant however its SD rounds: 19
+    copies of 0.2 have an SD of 2.8e-17, not 0.  A column whose SD
+    underflows to 0 is refused too."""
+
+    @pytest.mark.parametrize("estimator", [gam_evppi, gp_evppi], ids=["GAM", "GP"])
+    def test_regression_refuses_the_column(self, estimator):
+        nb = np.random.default_rng(3).normal(size=(19, 2))
+        counts = np.zeros(TIED.n_sims, dtype=int)
+        counts[[31, 34]] = [6, 13]  # TIED's tied column reads 0.2 at both
+        constant = [(make_sample(nb, phi=np.full(19, 0.2)), "x"),
+                    (TIED.take(counts=counts), "tied")]
+        assert all(np.std(s.params[:, 0]) != 0 for s, _ in constant)
+        underflow = make_sample(nb, phi=np.resize([0.0, 1e-170], 19))
+        assert np.std(underflow.params[:, 0]) == 0
+        for sample, name in [*constant, (underflow, "x")]:
+            message = f"constant parameter column(s) ['{name}'] carry no information"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                estimator(sample, ParamSubset.of(0))
 
 
 class TestBinBounds:
@@ -757,7 +785,7 @@ class TestParameterTies:
         chosen = so_choose_bins(sample, 0, n_mc=200, seed=4)
         assert est.diagnostics["bins"] < 30
         for seed in range(4):
-            shuffled = sample.take(np.random.default_rng(seed).permutation(3_000))
+            shuffled = rows_sample(sample, np.random.default_rng(seed).permutation(3_000))
             other = so_evppi(shuffled, 0, 30)
             # the same rows, summed in another order within each tie
             assert other.value == pytest.approx(est.value, rel=1e-12)
@@ -1002,7 +1030,7 @@ class TestSadEvppi:
         for c in est.diagnostics["cut_ranks"]:
             assert phi_sorted[c - 1] < phi_sorted[c]
         for seed in range(3):
-            shuffled = sample.take(np.random.default_rng(seed).permutation(3_000))
+            shuffled = rows_sample(sample, np.random.default_rng(seed).permutation(3_000))
             other = sad_evppi(shuffled, 0, n_cuts)
             # the same rows, summed in another order within each tie
             assert other.value == pytest.approx(est.value, rel=1e-12)
