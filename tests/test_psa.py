@@ -299,33 +299,52 @@ class TestDerivedSamples:
     """``take``, ``at_wtp`` and ``_with_nb`` build on validated arrays
     without a second check or copy."""
 
+    # each case: the sample under test from counts, and its reference from
+    # the same rows through the public constructor
+    TAKE_CASES = {
+        "priced": (lambda c: PRICED.take(counts=c),
+                   lambda rows: rows_sample(PRICED, rows)),
+        "nb only": (lambda c: NB_ONLY.take(counts=c),
+                    lambda rows: rows_sample(NB_ONLY, rows)),
+        "take of a take": (lambda c: REPLICATE.take(counts=c),
+                           lambda rows: rows_sample(REPLICATE, rows)),
+        "at_wtp of a take": (lambda c: PRICED.take(counts=c).at_wtp(250.0),
+                             lambda rows: rows_sample(PRICED, rows).at_wtp(250.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(TAKE_CASES))
     @settings(max_examples=100, deadline=None)
     @given(counts=COUNTS)
-    def test_take_equals_the_public_constructor(self, counts):
+    def test_take_equals_the_public_constructor(self, case, counts):
         counts = np.array(counts)
-        rows = np.repeat(np.arange(30), counts)
-        cases = {
-            "priced": (PRICED.take(counts=counts), rows_sample(PRICED, rows)),
-            "nb only": (NB_ONLY.take(counts=counts), rows_sample(NB_ONLY, rows)),
-            "take of a take": (REPLICATE.take(counts=counts), rows_sample(REPLICATE, rows)),
-            "at_wtp of a take": (PRICED.take(counts=counts).at_wtp(250.0),
-                                 rows_sample(PRICED, rows).at_wtp(250.0)),
-        }
-        for case, (sub, ref) in cases.items():
-            for name in ("params", "nb", "effects", "costs"):
-                got, want = getattr(sub, name), getattr(ref, name)
-                if want is None:
-                    assert got is None, (case, name)
-                    continue
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (case, name)
-                assert not got.flags.writeable, (case, name)
-            assert (sub.param_names, sub.k, sub.treatment_names) == (
-                ref.param_names, ref.k, ref.treatment_names
-            ), case
-            for p in (0, 1):
-                order = sub.param_order(p)
-                assert np.array_equal(order, np.argsort(sub.params[:, p], kind="stable")), case
-                assert not order.flags.writeable, case
+        take, construct = self.TAKE_CASES[case]
+        sub, ref = take(counts), construct(np.repeat(np.arange(30), counts))
+        for name in ("params", "nb", "effects", "costs"):
+            got, want = getattr(sub, name), getattr(ref, name)
+            if want is None:
+                assert got is None, name
+                continue
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert (sub.param_names, sub.k, sub.treatment_names) == (
+            ref.param_names, ref.k, ref.treatment_names
+        )
+        for p in (0, 1):
+            order = sub.param_order(p)
+            assert np.array_equal(order, np.argsort(sub.params[:, p], kind="stable"))
+            assert not order.flags.writeable
+
+    def test_take_keeps_its_own_counts(self):
+        # the arrays are gathered on first read, after the caller may have
+        # reused its count vector
+        counts = np.arange(PRICED.n_sims) % 3
+        sub = PRICED.take(counts=counts)
+        counts[:] = 0
+        counts[0] = 2
+        rows = np.repeat(np.arange(PRICED.n_sims), np.arange(PRICED.n_sims) % 3)
+        assert sub.n_sims == rows.size
+        assert sub.params.tobytes() == PRICED.params[rows].tobytes()
+        assert sub.costs.tobytes() == PRICED.costs[rows].tobytes()
 
     def test_at_wtp_shares_all_but_nb(self):
         rebuilt = PRICED.at_wtp(250.0)
@@ -383,6 +402,13 @@ class TestDerivedSamples:
         for positional in (counts, np.arange(PRICED.n_sims)):
             with pytest.raises(TypeError):
                 PRICED.take(positional)
+
+    def test_take_has_only_the_counts_argument(self):
+        # no rows form: an index array cannot be passed by keyword either
+        for kwargs in ({}, {"rows": np.arange(3)},
+                       {"rows": np.arange(3), "counts": np.ones(30, dtype=int)}):
+            with pytest.raises(TypeError):
+                PRICED.take(**kwargs)
 
 
 class TestEvppiEstimate:
